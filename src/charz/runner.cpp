@@ -43,7 +43,7 @@ std::size_t slots_per_chip(const Plan& plan) {
 
 void run_slot_task(const Plan& plan, const ChipTask& task, std::size_t slot,
                    fault::ChipInjector* injector,
-                   dram::SharedDeviateCache* deviates,
+                   dram::DeviateCache* deviates,
                    const std::function<void(Instance&, std::size_t)>& fn) {
   const Plan::ModuleSpec& spec = *task.spec;
   // Seeds depend only on (plan.seed, module_index, chip_index, slot),
@@ -52,7 +52,7 @@ void run_slot_task(const Plan& plan, const ChipTask& task, std::size_t slot,
   // physical chip, one variation field); the instance stream is per-slot.
   dram::Chip chip(spec.profile, hash_combine(plan.seed, (task.module_index << 8) |
                                                             task.chip_index));
-  if (deviates != nullptr) chip.share_deviates(deviates);
+  chip.share_deviates(deviates);
   pud::Engine engine(&chip);
   if (injector != nullptr) {
     chip.install_faults(injector);
@@ -83,7 +83,7 @@ void run_chip_task(const Plan& plan, const ChipTask& task,
   const std::size_t slots = slots_per_chip(plan);
   const std::function<void(Instance&, std::size_t)> slot_fn =
       [&fn](Instance& inst, std::size_t) { fn(inst); };
-  dram::SharedDeviateCache deviates;
+  dram::DeviateCache deviates;
   for (std::size_t slot = 0; slot < slots; ++slot)
     run_slot_task(plan, task, slot, nullptr, &deviates, slot_fn);
 }
@@ -99,18 +99,6 @@ void register_workers(const WorkStealingPool& pool) {
       .gauge("charz/workers")
       .set(static_cast<double>(pool.workers()));
   obs::set_host_field("workers", std::to_string(pool.workers()));
-}
-
-void register_span_pool_stats() {
-  const dram::SpanPoolStats stats = dram::span_pool_stats();
-  obs::MetricsRegistry::instance()
-      .gauge("charz/span_pool_recycle_rate")
-      .set(stats.recycle_rate());
-  obs::set_host_field("span_pool_hits", std::to_string(stats.hits));
-  obs::set_host_field("span_pool_misses", std::to_string(stats.misses));
-  std::ostringstream rate;
-  rate << stats.recycle_rate();
-  obs::set_host_field("span_pool_recycle_rate", rate.str());
 }
 
 Resilience resilience_from_env() {
@@ -171,7 +159,7 @@ ChipReport run_chip_task_resilient(
   // One shared deviate memo per chip task, reused across slots *and*
   // retry attempts: it caches pure functions of the chip's variation
   // field, so reuse cannot leak state between attempts.
-  dram::SharedDeviateCache deviates;
+  dram::DeviateCache deviates;
   // Running end of the chip's virtual timeline: each absorbed slot is
   // shifted to start where the previous one ended, which keeps the merged
   // trace identical at any worker count.

@@ -10,7 +10,7 @@
 #include "fault/spec.hpp"
 
 namespace simra::dram {
-class SharedDeviateCache;
+class DeviateCache;
 }
 
 namespace simra::charz {
@@ -64,7 +64,7 @@ std::size_t slots_per_chip(const Plan& plan);
 /// sharing the memo avoids recomputing identical variation spans per slot.
 void run_slot_task(const Plan& plan, const ChipTask& task, std::size_t slot,
                    fault::ChipInjector* injector,
-                   dram::SharedDeviateCache* deviates,
+                   dram::DeviateCache* deviates,
                    const std::function<void(Instance&, std::size_t)>& fn);
 
 /// Instantiates one chip task and invokes `fn` for each of its
@@ -95,13 +95,6 @@ unsigned pool_workers(std::size_t total_subtasks);
 /// manifest's host section ("workers"). Host-only on the manifest side so
 /// the byte-compared artifacts stay thread-count-invariant.
 void register_workers(const WorkStealingPool& pool);
-
-/// Surfaces the process-wide SpanPool recycle statistics after a sweep:
-/// `charz/span_pool_recycle_rate` gauge plus host manifest fields
-/// ("span_pool_hits" / "span_pool_misses" / "span_pool_recycle_rate").
-/// Host-only — the hit pattern depends on allocation interleaving, so it
-/// must never leak into byte-compared artifacts.
-void register_span_pool_stats();
 
 /// The environment-derived resilience configuration of a sweep:
 /// SIMRA_FAULT_SPEC + SIMRA_FAULT_SEED, read once per run_instances call.
@@ -185,7 +178,6 @@ Sweep<Acc> run_instances(const Plan& plan, Fn&& fn) {
           });
     });
     pool.publish_stats();
-    detail::register_span_pool_stats();
   }
   Sweep<Acc> sweep;
   sweep.coverage = detail::collect_coverage(std::move(reports), res);

@@ -32,9 +32,10 @@ class Chip {
   const PredecoderLayout& layout() const noexcept { return layout_; }
   const ElectricalModel& electrical() const noexcept { return electrical_; }
 
-  /// Attaches the chip-level shared deviate cache (non-owning; nullptr
-  /// detaches); see ElectricalModel::share_deviates.
-  void share_deviates(SharedDeviateCache* cache) noexcept {
+  /// Points the chip's span lookups at a chip-level deviate cache shared
+  /// with sibling chips (non-owning; nullptr returns to the chip's own
+  /// cache); see ElectricalModel::share_deviates.
+  void share_deviates(DeviateCache* cache) noexcept {
     electrical_.share_deviates(cache);
   }
   std::uint64_t seed() const noexcept { return variation_.seed(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -66,104 +65,14 @@ double mrc_latch_fraction(double t1_ns) {
 
 }  // namespace calib
 
-std::size_t ElectricalModel::DeviateKeyHash::operator()(
-    const DeviateKey& k) const noexcept {
+std::size_t DeviateCache::KeyHash::operator()(const Key& k) const noexcept {
   return static_cast<std::size_t>(
       hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
                                 k.count),
                    k.uniform ? 1u : 0u));
 }
 
-std::size_t SharedDeviateCache::KeyHash::operator()(
-    const Key& k) const noexcept {
-  return static_cast<std::size_t>(
-      hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
-                                k.count),
-                   k.uniform ? 1u : 0u));
-}
-
-namespace {
-
-/// Recycles span storage across models and chip tasks: a released span
-/// returns its block here instead of freeing it, and the next fill of the
-/// same size reuses it. First-touch page faults on a fresh 32 KiB block
-/// cost ~2-3x the fill itself, so steady-state fills writing into
-/// already-faulted pages are the difference between ~40 us and ~15 us per
-/// span. Thread-safe; the free list is capped, overflow is freed for real.
-class SpanPool {
- public:
-  static SpanPool& instance() {
-    static SpanPool pool;
-    return pool;
-  }
-
-  std::shared_ptr<float[]> acquire(std::size_t count) {
-    float* block = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = free_.find(count);
-      if (it != free_.end() && !it->second.empty()) {
-        block = it->second.back();
-        it->second.pop_back();
-        total_free_ -= count;
-      }
-    }
-    // Recycle stats ride the obs counter registry (cached refs, relaxed
-    // increments): acquire only runs on span-cache misses, so the
-    // bookkeeping is far off the per-trial path.
-    static prof::Counter& hit_counter = prof::Counter::get("dram/span_pool_hit");
-    static prof::Counter& miss_counter =
-        prof::Counter::get("dram/span_pool_miss");
-    if (block == nullptr) {
-      block = new float[count];
-      miss_counter.add_count(1);
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      hit_counter.add_count(1);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return std::shared_ptr<float[]>(
-        block, [count](float* p) { SpanPool::instance().release(p, count); });
-  }
-
-  SpanPoolStats stats() const noexcept {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed)};
-  }
-
-  ~SpanPool() {
-    for (auto& [count, blocks] : free_)
-      for (float* p : blocks) delete[] p;
-  }
-
- private:
-  void release(float* block, std::size_t count) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (total_free_ + count <= kMaxFreeFloats) {
-        free_[count].push_back(block);
-        total_free_ += count;
-        return;
-      }
-    }
-    delete[] block;
-  }
-
-  /// Free-list cap (floats): 64 Mi floats = 256 MiB of idle blocks.
-  static constexpr std::size_t kMaxFreeFloats = 64u << 20;
-
-  std::mutex mutex_;
-  std::unordered_map<std::size_t, std::vector<float*>> free_;
-  std::size_t total_free_ = 0;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
-
-}  // namespace
-
-SpanPoolStats span_pool_stats() noexcept { return SpanPool::instance().stats(); }
-
-std::shared_ptr<const float[]> SharedDeviateCache::get_or_compute(
+std::shared_ptr<const float[]> DeviateCache::get_or_compute(
     std::uint64_t salt, std::uint64_t k1, std::uint64_t k2, std::size_t count,
     bool uniform, const VariationField& field) {
   constexpr std::size_t kCapacity = 8192;  // bound memory.
@@ -179,7 +88,8 @@ std::shared_ptr<const float[]> SharedDeviateCache::get_or_compute(
     map_.erase(order_.front());
     order_.pop_front();
   }
-  std::shared_ptr<float[]> values = SpanPool::instance().acquire(count);
+  std::shared_ptr<float[]> values =
+      std::make_shared_for_overwrite<float[]>(count);
   const std::span<float> out(values.get(), count);
   if (uniform)
     field.uniform_fill(salt, k1, k2, out);
@@ -190,58 +100,16 @@ std::shared_ptr<const float[]> SharedDeviateCache::get_or_compute(
   return values;
 }
 
-std::span<const float> ElectricalModel::deviates(std::uint64_t salt,
-                                                 std::uint64_t k1,
-                                                 std::uint64_t k2,
-                                                 std::size_t count) const {
-  return spans(salt, k1, k2, count, false);
+std::shared_ptr<const float[]> ElectricalModel::deviates(
+    std::uint64_t salt, std::uint64_t k1, std::uint64_t k2,
+    std::size_t count) const {
+  return deviates_->get_or_compute(salt, k1, k2, count, false, *variation_);
 }
 
-std::span<const float> ElectricalModel::uniforms(std::uint64_t salt,
-                                                 std::uint64_t k1,
-                                                 std::uint64_t k2,
-                                                 std::size_t count) const {
-  return spans(salt, k1, k2, count, true);
-}
-
-std::span<const float> ElectricalModel::spans(std::uint64_t salt,
-                                              std::uint64_t k1,
-                                              std::uint64_t k2,
-                                              std::size_t count,
-                                              bool uniform) const {
-  constexpr std::size_t kCapacity = 4096;  // bound memory.
-  const DeviateKey key{salt, k1, k2, count, uniform};
-  auto it = deviate_cache_.find(key);
-  if (it != deviate_cache_.end()) {
-    // Refresh recency so hot spans survive trimming.
-    deviate_order_.splice(deviate_order_.end(), deviate_order_,
-                          it->second.order_it);
-    return {it->second.values.get(), count};
-  }
-  std::shared_ptr<const float[]> values;
-  if (shared_deviates_ != nullptr) {
-    values = shared_deviates_->get_or_compute(salt, k1, k2, count, uniform,
-                                              *variation_);
-  } else {
-    SIMRA_PROF_SCOPE("electrical/deviates_miss");
-    std::shared_ptr<float[]> computed = SpanPool::instance().acquire(count);
-    const std::span<float> out(computed.get(), count);
-    if (uniform)
-      variation_->uniform_fill(salt, k1, k2, out);
-    else
-      variation_->normal_fill(salt, k1, k2, out);
-    values = std::move(computed);
-  }
-  while (deviate_cache_.size() >= kCapacity) {
-    deviate_cache_.erase(deviate_order_.front());
-    deviate_order_.pop_front();
-  }
-  deviate_order_.push_back(key);
-  it = deviate_cache_
-           .emplace(key, DeviateEntry{std::move(values),
-                                      std::prev(deviate_order_.end())})
-           .first;
-  return {it->second.values.get(), count};
+std::shared_ptr<const float[]> ElectricalModel::uniforms(
+    std::uint64_t salt, std::uint64_t k1, std::uint64_t k2,
+    std::size_t count) const {
+  return deviates_->get_or_compute(salt, k1, k2, count, true, *variation_);
 }
 
 std::size_t ElectricalModel::MaskKeyHash::operator()(
@@ -249,7 +117,27 @@ std::size_t ElectricalModel::MaskKeyHash::operator()(
   return static_cast<std::size_t>(
       hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
                                 k.count),
-                   k.z_bits));
+                   k.threshold_bits));
+}
+
+template <typename Compute>
+const BitVec& ElectricalModel::mask_cached(const MaskKey& key,
+                                           Compute&& compute) const {
+  constexpr std::size_t kCapacity = 4096;  // bound memory.
+  auto it = mask_cache_.find(key);
+  if (it != mask_cache_.end()) {
+    mask_order_.splice(mask_order_.end(), mask_order_, it->second.order_it);
+    return it->second.mask;
+  }
+  BitVec mask = compute();
+  while (mask_cache_.size() >= kCapacity) {
+    mask_cache_.erase(mask_order_.front());
+    mask_order_.pop_front();
+  }
+  mask_order_.push_back(key);
+  return mask_cache_
+      .emplace(key, MaskEntry{std::move(mask), std::prev(mask_order_.end())})
+      .first->second.mask;
 }
 
 const BitVec& ElectricalModel::threshold_mask_cached(std::uint64_t salt,
@@ -257,37 +145,19 @@ const BitVec& ElectricalModel::threshold_mask_cached(std::uint64_t salt,
                                                      std::uint64_t k2,
                                                      std::size_t count,
                                                      float z_eff) const {
-  constexpr std::size_t kCapacity = 4096;  // bound memory.
-  const MaskKey key{salt, k1, k2, count, std::bit_cast<std::uint32_t>(z_eff)};
-  auto it = threshold_mask_cache_.find(key);
-  if (it != threshold_mask_cache_.end()) {
-    threshold_mask_order_.splice(threshold_mask_order_.end(),
-                                 threshold_mask_order_, it->second.order_it);
-    return it->second.mask;
-  }
-  // Compared in the uniform domain: zeta < z_eff <=> u < normal_cdf(z_eff)
-  // (the deviate is inverse_normal_cdf(u) and the CDF is monotone), so the
-  // span fill skips the inverse CDF — by far the dominant cost of a miss.
-  // No chip-level memo here: the slot scheduler hands each slot a disjoint
-  // (bank, row) slice, so mask keys never repeat across sibling models and
-  // a shared map would only add lock traffic (measured zero hits).
-  const std::span<const float> us = uniforms(salt, k1, k2, count);
-  const auto u_eff =
-      static_cast<float>(normal_cdf(static_cast<double>(z_eff)));
-  BitVec mask_bits(0);
-  {
+  const MaskKey key{salt, k1, k2, count,
+                    std::bit_cast<std::uint64_t>(static_cast<double>(z_eff))};
+  return mask_cached(key, [&] {
+    // Compared in the uniform domain: zeta < z_eff <=> u < normal_cdf(z_eff)
+    // (the deviate is inverse_normal_cdf(u) and the CDF is monotone), so
+    // the span fill skips the inverse CDF — by far the dominant cost of a
+    // miss.
+    const auto us = uniforms(salt, k1, k2, count);
+    const auto u_eff =
+        static_cast<float>(normal_cdf(static_cast<double>(z_eff)));
     SIMRA_PROF_SCOPE("electrical/threshold_mask_compute");
-    mask_bits = kernels::threshold_mask(us, u_eff);
-  }
-  while (threshold_mask_cache_.size() >= kCapacity) {
-    threshold_mask_cache_.erase(threshold_mask_order_.front());
-    threshold_mask_order_.pop_front();
-  }
-  threshold_mask_order_.push_back(key);
-  return threshold_mask_cache_
-      .emplace(key, MaskEntry{std::move(mask_bits),
-                              std::prev(threshold_mask_order_.end())})
-      .first->second.mask;
+    return kernels::threshold_mask({us.get(), count}, u_eff);
+  });
 }
 
 std::uint64_t group_key_of(std::span<const RowAddr> rows) {
@@ -541,10 +411,12 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     }
   }
 
-  const std::span<const float> zetas =
+  const auto zeta_span =
       deviates(kSaltMajOffset, ctx.bank, ctx.subarray, columns);
-  const std::span<const float> polarities =
+  const auto polarity_span =
       deviates(kSaltMajPolarity, ctx.bank, ctx.subarray, columns);
+  const std::span<const float> zetas(zeta_span.get(), columns);
+  const std::span<const float> polarities(polarity_span.get(), columns);
 
   bool full_width = true;
   for (const BitVec* row : data_rows)
@@ -769,7 +641,7 @@ bool ElectricalModel::bitline_latched(const BitlineContext& ctx,
   if (apa.latch_fraction >= 1.0) return true;
   // Persistent race outcome per bitline: higher latch fractions strictly
   // grow the latched set (the threshold moves, the deviate does not).
-  const std::span<const float> race =
+  const auto race =
       deviates(kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns);
   return normal_cdf(race[column]) < apa.latch_fraction;
 }
@@ -779,19 +651,14 @@ BitVec ElectricalModel::latched_mask(const BitlineContext& ctx,
   SIMRA_PROF_SCOPE("electrical/latched_mask");
   if (apa.latch_fraction <= 0.0) return BitVec(ctx.columns);
   if (apa.latch_fraction >= 1.0) return BitVec(ctx.columns, true);
-  const auto key = std::make_tuple(
-      ctx.bank, ctx.subarray, ctx.columns,
-      std::bit_cast<std::uint64_t>(apa.latch_fraction));
-  auto it = latch_mask_cache_.find(key);
-  if (it == latch_mask_cache_.end()) {
-    if (latch_mask_cache_.size() > 256) latch_mask_cache_.clear();
-    const std::span<const float> race =
+  const MaskKey key{kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns,
+                    std::bit_cast<std::uint64_t>(apa.latch_fraction)};
+  return mask_cached(key, [&] {
+    const auto race =
         deviates(kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns);
-    it = latch_mask_cache_
-             .emplace(key, kernels::latch_race_mask(race, apa.latch_fraction))
-             .first;
-  }
-  return it->second;
+    return kernels::latch_race_mask({race.get(), ctx.columns},
+                                    apa.latch_fraction);
+  });
 }
 
 BitVec ElectricalModel::sense_frac_row(const BitlineContext& ctx,
@@ -808,12 +675,12 @@ BitVec ElectricalModel::sense_frac_row(const BitlineContext& ctx,
   // of the batch is a pure function of (stream, cursor + i): the batched
   // SIMD fill, any chunked fill, and a per-column scalar loop all produce
   // the same bits.
-  const std::span<const float> offsets =
+  const auto offsets =
       deviates(kSaltFracSense, ctx.bank, ctx.subarray, ctx.columns);
   std::vector<double> draws(ctx.columns);
   const std::uint64_t base = noise.reserve(ctx.columns);
   kernels::counter_normal_fill(noise.prefix(), base, draws);
-  return kernels::offset_noise_mask(offsets, draws, 0.35);
+  return kernels::offset_noise_mask({offsets.get(), ctx.columns}, draws, 0.35);
 }
 
 }  // namespace simra::dram

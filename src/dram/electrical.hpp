@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -84,15 +82,17 @@ struct ChargeShareResult {
   std::size_t ties = 0;  ///< columns with exactly zero net imbalance.
 };
 
-/// Thread-safe LRU cache of deviate spans, shared by the slot models of
-/// one physical chip: every slot's `Chip` is seeded with the same chip
-/// seed (one chip, one variation field), so without sharing each slot
-/// recomputes identical spans. Spans are handed out as shared_ptr —
-/// eviction here only drops the cache's reference, never a span a model
-/// is still holding — and computed under the lock, so concurrent slots
-/// requesting the same span dedupe instead of racing. Purely a memo of
-/// the deterministic variation field: sharing cannot change any value.
-class SharedDeviateCache {
+/// Thread-safe LRU cache of deviate spans. Every ElectricalModel owns one;
+/// the slot models of one physical chip can instead share a single cache
+/// (`ElectricalModel::share_deviates`): every slot's `Chip` is seeded with
+/// the same chip seed (one chip, one variation field), so without sharing
+/// each slot recomputes identical spans. Spans are handed out as
+/// shared_ptr — eviction here only drops the cache's reference, never a
+/// span a caller is still holding — and computed under the lock, so
+/// concurrent slots requesting the same span dedupe instead of racing.
+/// Purely a memo of the deterministic variation field: sharing cannot
+/// change any value.
+class DeviateCache {
  public:
   /// `uniform` selects the span flavor: raw hashed uniforms (for
   /// monotone threshold compares) or normal deviates (for value use).
@@ -105,6 +105,9 @@ class SharedDeviateCache {
                                                const VariationField& field);
 
  private:
+  /// Full identity of one span. Keying by the whole tuple (rather than a
+  /// folded 64-bit digest) makes hash collisions harmless: equal keys are
+  /// equal spans by construction.
   struct Key {
     std::uint64_t salt = 0;
     std::uint64_t k1 = 0;
@@ -125,22 +128,6 @@ class SharedDeviateCache {
   std::unordered_map<Key, Entry, KeyHash> map_;
 };
 
-/// Process-wide recycle statistics of the span free-list (SpanPool):
-/// `hits` = fills served from a recycled block, `misses` = fresh
-/// allocations (first-touch page faults). Monotone counters, also exported
-/// as `dram/span_pool_hit` / `dram/span_pool_miss` obs counters and a
-/// host-manifest field, so span-reuse regressions show up in metrics.
-struct SpanPoolStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  double recycle_rate() const noexcept {
-    const std::uint64_t total = hits + misses;
-    return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
-                     : 0.0;
-  }
-};
-SpanPoolStats span_pool_stats() noexcept;
-
 /// The analog behaviour model: charge sharing, sensing margins, write
 /// overdrive, and copy stability, with persistent process variation.
 ///
@@ -151,11 +138,11 @@ class ElectricalModel {
  public:
   ElectricalModel(const VendorProfile* profile, const VariationField* variation);
 
-  /// Attaches the chip-level shared deviate cache (non-owning; nullptr
-  /// detaches). On a local-cache miss the model consults `cache` before
-  /// computing, so sibling slot models of the same chip reuse spans.
-  void share_deviates(SharedDeviateCache* cache) noexcept {
-    shared_deviates_ = cache;
+  /// Points the model's span lookups at `cache` (non-owning) instead of
+  /// its own cache, so sibling slot models of the same chip reuse spans;
+  /// nullptr returns to the model's own cache.
+  void share_deviates(DeviateCache* cache) noexcept {
+    deviates_ = cache != nullptr ? cache : &own_deviates_;
   }
 
   /// Classifies an APA timing pair against the vendor's milestones.
@@ -201,9 +188,10 @@ class ElectricalModel {
                        const ApaDecision& apa) const;
 
   /// All columns' latch-race outcomes at once: bit c set iff
-  /// bitline_latched(ctx, c, apa). Memoized per (bank, subarray, columns,
-  /// latch_fraction) — the race deviates are persistent and the threshold
-  /// only depends on the APA timing, so repeated trials reuse the mask.
+  /// bitline_latched(ctx, c, apa). Memoized in the mask memo per (bank,
+  /// subarray, columns, latch_fraction) — the race deviates are persistent
+  /// and the threshold only depends on the APA timing, so repeated trials
+  /// reuse the mask.
   BitVec latched_mask(const BitlineContext& ctx, const ApaDecision& apa) const;
 
   /// Resolves sensing of a single Frac (VDD/2) row: each SA falls to its
@@ -223,81 +211,48 @@ class ElectricalModel {
   const VendorProfile& profile() const noexcept { return *profile_; }
 
  private:
-  /// Full identity of one deviate span. Keying the cache by the whole
-  /// tuple (rather than a folded 64-bit digest) makes hash collisions
-  /// harmless: equal keys are equal spans by construction.
-  struct DeviateKey {
-    std::uint64_t salt = 0;
-    std::uint64_t k1 = 0;
-    std::uint64_t k2 = 0;
-    std::size_t count = 0;
-    bool uniform = false;
-    bool operator==(const DeviateKey&) const = default;
-  };
-  struct DeviateKeyHash {
-    std::size_t operator()(const DeviateKey& k) const noexcept;
-  };
-  struct DeviateEntry {
-    std::shared_ptr<const float[]> values;
-    std::list<DeviateKey>::iterator order_it;
-  };
-
   double group_quality(const BitlineContext& ctx, std::uint64_t salt) const;
 
   /// Per-column persistent deviates for one (salt, k1, k2) entity row,
-  /// memoized: they are pure functions of the variation field, and the
-  /// characterization sweeps re-touch the same rows thousands of times.
-  /// Returned spans stay valid until the entry is evicted; eviction is
-  /// least-recently-used, so spans fetched in the current operation are
-  /// never invalidated by a later fetch in the same operation.
-  std::span<const float> deviates(std::uint64_t salt, std::uint64_t k1,
-                                  std::uint64_t k2, std::size_t count) const;
+  /// memoized in the deviate cache: they are pure functions of the
+  /// variation field, and the characterization sweeps re-touch the same
+  /// rows thousands of times. The caller holds the returned block for the
+  /// whole operation: once the cache evicts the span (a sibling model may
+  /// do so at any time), that handle is what keeps it alive.
+  std::shared_ptr<const float[]> deviates(std::uint64_t salt, std::uint64_t k1,
+                                          std::uint64_t k2,
+                                          std::size_t count) const;
 
-  /// Same identity/caching as `deviates`, but the span holds the raw
-  /// hashed uniforms the deviates derive from. Mask paths compare these
-  /// against normal_cdf(threshold) — monotone-equivalent to comparing
-  /// the deviate against the threshold, with no inverse CDF on the fill.
-  std::span<const float> uniforms(std::uint64_t salt, std::uint64_t k1,
-                                  std::uint64_t k2, std::size_t count) const;
-
-  std::span<const float> spans(std::uint64_t salt, std::uint64_t k1,
-                               std::uint64_t k2, std::size_t count,
-                               bool uniform) const;
+  /// Same cache and lifetime rule as `deviates`, under a distinct key, but
+  /// the span holds the raw hashed uniforms the deviates derive from. Mask
+  /// paths compare these against normal_cdf(threshold) — monotone-
+  /// equivalent to comparing the deviate against the threshold, with no
+  /// inverse CDF on the fill.
+  std::shared_ptr<const float[]> uniforms(std::uint64_t salt, std::uint64_t k1,
+                                          std::uint64_t k2,
+                                          std::size_t count) const;
 
   const VendorProfile* profile_;
   const VariationField* variation_;
-  SharedDeviateCache* shared_deviates_ = nullptr;
-  /// LRU over deviate spans: `deviate_order_` is recency order (front =
-  /// coldest); hits are spliced to the back, so trimming the front keeps
-  /// the spans the current figure is touching.
-  mutable std::list<DeviateKey> deviate_order_;
-  mutable std::unordered_map<DeviateKey, DeviateEntry, DeviateKeyHash>
-      deviate_cache_;
-  /// Memoized latch-race masks, keyed by (bank, subarray, columns,
-  /// latch_fraction bits).
-  mutable std::map<
-      std::tuple<BankId, SubarrayId, std::size_t, std::uint64_t>, BitVec>
-      latch_mask_cache_;
+  DeviateCache own_deviates_;
+  DeviateCache* deviates_ = &own_deviates_;
 
-  /// Memoized `zetas < z_eff` stability masks for write_overdrive_mask and
-  /// copy_stable_mask: the mask is a pure function of the deviate span
-  /// identity (salt, k1, k2, count) and the folded threshold, and the
-  /// trial loops re-request the same (row, threshold) point every trial.
-  /// LRU-evicted (like the deviate cache) instead of wiped wholesale, so
-  /// paper-scale sweeps whose working set exceeds the capacity degrade to
-  /// recomputing the coldest masks rather than thrashing everything.
-  /// Per-model only: the slot scheduler partitions (bank, row) work
-  /// disjointly across sibling models, so a chip-level mask memo would
-  /// never hit (verified empirically) and is deliberately absent.
-  const BitVec& threshold_mask_cached(std::uint64_t salt, std::uint64_t k1,
-                                      std::uint64_t k2, std::size_t count,
-                                      float z_eff) const;
+  /// Per-model LRU memo of bit masks that are pure functions of one span
+  /// identity (salt, k1, k2, count) and a threshold (the double's bits):
+  /// the write-overdrive and copy-stability `zetas < z_eff` masks, and the
+  /// latch-race masks (under kSaltLatchRace, threshold = latch_fraction).
+  /// The trial loops re-request the same (row, threshold) point every
+  /// trial. LRU-evicted instead of wiped wholesale, so paper-scale sweeps
+  /// whose working set exceeds the capacity degrade to recomputing the
+  /// coldest masks rather than thrashing everything. Per-model only: the
+  /// slot scheduler partitions (bank, row) work disjointly across sibling
+  /// models, so a chip-level mask memo would never hit.
   struct MaskKey {
     std::uint64_t salt = 0;
     std::uint64_t k1 = 0;
     std::uint64_t k2 = 0;
     std::size_t count = 0;
-    std::uint32_t z_bits = 0;
+    std::uint64_t threshold_bits = 0;
     bool operator==(const MaskKey&) const = default;
   };
   struct MaskKeyHash {
@@ -307,9 +262,16 @@ class ElectricalModel {
     BitVec mask;
     std::list<MaskKey>::iterator order_it;
   };
-  mutable std::list<MaskKey> threshold_mask_order_;
-  mutable std::unordered_map<MaskKey, MaskEntry, MaskKeyHash>
-      threshold_mask_cache_;
+  /// Returns the memoized mask for `key`, calling `compute()` (which
+  /// returns the BitVec) only on a miss.
+  template <typename Compute>
+  const BitVec& mask_cached(const MaskKey& key, Compute&& compute) const;
+  /// The `zetas < z_eff` stability mask of one span.
+  const BitVec& threshold_mask_cached(std::uint64_t salt, std::uint64_t k1,
+                                      std::uint64_t k2, std::size_t count,
+                                      float z_eff) const;
+  mutable std::list<MaskKey> mask_order_;
+  mutable std::unordered_map<MaskKey, MaskEntry, MaskKeyHash> mask_cache_;
 };
 
 /// Hash of a sorted activated-row set, for group-quality keying.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "dram/calibration.hpp"
 
@@ -201,9 +206,11 @@ TEST_F(ElectricalTest, GroupKeyOrderIndependentOfContent) {
 
 TEST_F(ElectricalTest, DeviateCacheSurvivesEviction) {
   // The deviate spans are pure functions of the variation field: whatever
-  // the cache does — hits, LRU eviction, regeneration — every query must
-  // reproduce the same persistent mask. Narrow columns keep the churn of
-  // blowing far past the cache capacity (4096 entries) cheap.
+  // the caches do — hits, LRU eviction, regeneration — every query must
+  // reproduce the same persistent mask. Each row is one span and one mask,
+  // so 9000 rows run past both the span cache (8192 entries) and the mask
+  // memo (4096 entries); row 0's mask and span are both recomputed. Narrow
+  // columns keep that churn cheap.
   BitlineContext c = ctx();
   c.columns = 64;
   const EnvironmentState env;
@@ -211,9 +218,67 @@ TEST_F(ElectricalTest, DeviateCacheSurvivesEviction) {
                                               Nanoseconds{3.0});
   const BitVec first = model_.write_overdrive_mask(c, 0, 1, env, apa);
   EXPECT_EQ(model_.write_overdrive_mask(c, 0, 1, env, apa), first);
-  for (RowAddr row = 1; row < 6000; ++row)
+  for (RowAddr row = 1; row < 9000; ++row)
     model_.write_overdrive_mask(c, row, 1, env, apa);
   EXPECT_EQ(model_.write_overdrive_mask(c, 0, 1, env, apa), first);
+}
+
+TEST_F(ElectricalTest, SiblingModelsShareDeviateCacheAcrossEviction) {
+  // Sibling models on several threads share one DeviateCache, as the slot
+  // models of one chip do. 4500 points of two spans each exceed its 8192
+  // entries, so every thread's churn evicts spans that other threads still
+  // hold: each thread keeps one span handle across its whole run, and the
+  // span must keep its values after the cache drops it. Every mask must
+  // equal the one a model with a private cache computes.
+  constexpr std::size_t kPoints = 4500;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kHeldSalt = 0x7e57;
+  BitlineContext c = ctx();
+  c.columns = 64;
+  const EnvironmentState env;
+  const ApaDecision weak = model_.classify_apa(Nanoseconds{1.5},
+                                               Nanoseconds{1.5});
+  const ApaDecision partial = model_.classify_apa(Nanoseconds{5.0},
+                                                  Nanoseconds{3.0});
+  ASSERT_GT(partial.latch_fraction, 0.0);
+  ASSERT_LT(partial.latch_fraction, 1.0);
+  const auto point_masks = [&](const ElectricalModel& model, std::size_t i) {
+    BitlineContext latch_ctx = c;
+    latch_ctx.subarray = static_cast<SubarrayId>(i);
+    return std::make_pair(
+        model.write_overdrive_mask(c, static_cast<RowAddr>(i), 5, env, weak),
+        model.latched_mask(latch_ctx, partial));
+  };
+  std::vector<std::pair<BitVec, BitVec>> expected;
+  expected.reserve(kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i)
+    expected.push_back(point_masks(model_, i));
+
+  DeviateCache shared;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<int> held_intact(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto held =
+          shared.get_or_compute(kHeldSalt, t, 0, c.columns, false, variation_);
+      ElectricalModel sibling(&profile_, &variation_);
+      sibling.share_deviates(&shared);
+      for (std::size_t n = 0; n < kPoints; ++n) {
+        const std::size_t i = (n + t * kPoints / kThreads) % kPoints;
+        if (point_masks(sibling, i) != expected[i]) ++mismatches[t];
+      }
+      std::vector<float> fresh(c.columns);
+      variation_.normal_fill(kHeldSalt, t, 0, fresh);
+      held_intact[t] =
+          std::equal(fresh.begin(), fresh.end(), held.get()) ? 1 : 0;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    EXPECT_EQ(held_intact[t], 1) << "thread " << t;
+  }
 }
 
 TEST_F(ElectricalTest, DeviateCacheKeyedByFullTuple) {
@@ -236,16 +301,45 @@ TEST_F(ElectricalTest, DeviateCacheKeyedByFullTuple) {
 }
 
 TEST_F(ElectricalTest, LatchedMaskMatchesScalarBitlineLatched) {
-  const ApaDecision apa = model_.classify_apa(Nanoseconds{12.0},
-                                              Nanoseconds{3.0});
-  ASSERT_GT(apa.latch_fraction, 0.0);
-  ASSERT_LT(apa.latch_fraction, 1.0);
-  const BitVec mask = model_.latched_mask(ctx(), apa);
-  ASSERT_EQ(mask.size(), profile_.geometry.columns);
-  for (std::size_t c = 0; c < 512; ++c)
-    ASSERT_EQ(mask.get(c), model_.bitline_latched(ctx(), c, apa)) << c;
-  // Memoized: the repeat query returns the identical mask.
-  EXPECT_EQ(model_.latched_mask(ctx(), apa), mask);
+  // The second input requests threshold masks of the same (bank,
+  // subarray) between the latch-race queries. Both families live in one
+  // mask memo, so an aliased entry would hand one family's mask to the
+  // other.
+  const EnvironmentState env;
+  const BitVec source(profile_.geometry.columns, true);
+  const ApaDecision weak = model_.classify_apa(Nanoseconds{1.5},
+                                               Nanoseconds{1.5});
+  for (const bool interleave : {false, true}) {
+    SCOPED_TRACE(interleave ? "interleaved with threshold masks" : "alone");
+    ElectricalModel model(&profile_, &variation_);
+    const auto touch_threshold_masks = [&] {
+      if (!interleave) return;
+      for (RowAddr row = 0; row < 4; ++row) {
+        model.write_overdrive_mask(ctx(), row, 5, env, weak);
+        model.copy_stable_mask(ctx(), row, 31, source, env);
+      }
+    };
+    const ApaDecision apa = model.classify_apa(Nanoseconds{12.0},
+                                               Nanoseconds{3.0});
+    ASSERT_GT(apa.latch_fraction, 0.0);
+    ASSERT_LT(apa.latch_fraction, 1.0);
+    touch_threshold_masks();
+    const BitVec mask = model.latched_mask(ctx(), apa);
+    ASSERT_EQ(mask.size(), profile_.geometry.columns);
+    for (std::size_t c = 0; c < 512; ++c)
+      ASSERT_EQ(mask.get(c), model.bitline_latched(ctx(), c, apa)) << c;
+    // Memoized: the repeat query returns the identical mask.
+    touch_threshold_masks();
+    EXPECT_EQ(model.latched_mask(ctx(), apa), mask);
+    if (!interleave) continue;
+    ElectricalModel fresh(&profile_, &variation_);
+    for (RowAddr row = 0; row < 4; ++row) {
+      EXPECT_EQ(model.write_overdrive_mask(ctx(), row, 5, env, weak),
+                fresh.write_overdrive_mask(ctx(), row, 5, env, weak));
+      EXPECT_EQ(model.copy_stable_mask(ctx(), row, 31, source, env),
+                fresh.copy_stable_mask(ctx(), row, 31, source, env));
+    }
+  }
 }
 
 }  // namespace
