@@ -109,10 +109,12 @@ void BM_ColumnPopcounts(benchmark::State& state) {
   for (auto& r : rows) r.randomize(rng);
   std::vector<const BitVec*> ptrs;
   for (const auto& r : rows) ptrs.push_back(&r);
-  std::vector<std::uint8_t> counts(kColumns);
+  std::vector<std::uint64_t> planes(6);
   for (auto _ : state) {
-    dram::kernels::column_popcounts(ptrs, counts);
-    benchmark::DoNotOptimize(counts.data());
+    for (std::size_t wi = 0; wi < kColumns / 64; ++wi) {
+      dram::kernels::column_popcounts(ptrs, wi, planes);
+      benchmark::DoNotOptimize(planes.data());
+    }
   }
 }
 BENCHMARK(BM_ColumnPopcounts)->Arg(8)->Arg(32);
@@ -133,6 +135,55 @@ void BM_ColumnPopcountsScalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColumnPopcountsScalar)->Arg(8)->Arg(32);
+
+/// One row's worth of resolve_word inputs: per-word class planes of four
+/// rows (three planes, the MAJ3-with-one-copy shape), a computed
+/// class -> verdict table, and the zeta/polarity deviates.
+struct ResolveRow {
+  std::vector<dram::kernels::ClassPlanes> words;
+  std::vector<double> zg;
+  std::vector<std::int32_t> flags;
+  std::vector<float> zetas;
+  std::vector<float> polarities;
+};
+
+ResolveRow make_resolve_row() {
+  ResolveRow row;
+  Rng rng(8);
+  std::vector<BitVec> data(4, BitVec(kColumns));
+  for (auto& r : data) r.randomize(rng);
+  std::vector<const BitVec*> ptrs;
+  for (const auto& r : data) ptrs.push_back(&r);
+  row.words.resize(kColumns / 64);
+  for (std::size_t wi = 0; wi < row.words.size(); ++wi) {
+    row.words[wi].count = 3;
+    dram::kernels::column_popcounts(
+        ptrs, wi, std::span(row.words[wi].planes, 3));
+  }
+  for (std::size_t cls = 0; cls < 8; ++cls) {
+    row.zg.push_back(rng.normal());
+    row.flags.push_back(cls > 2 ? dram::kernels::kClassMajorityOne : 0);
+  }
+  row.zetas = random_floats(kColumns, 9);
+  row.polarities = random_floats(kColumns, 10);
+  return row;
+}
+
+/// Resolves every column of `row` (no decided bitlines).
+void resolve_row(const ResolveRow& row) {
+  for (std::size_t wi = 0; wi < row.words.size(); ++wi) {
+    const std::span<const float> zetas(row.zetas.data() + 64 * wi, 64);
+    const std::span<const float> pols(row.polarities.data() + 64 * wi, 64);
+    benchmark::DoNotOptimize(dram::kernels::resolve_word(
+        row.words[wi], ~0ULL, row.zg, row.flags, zetas, pols));
+  }
+}
+
+void BM_ResolveWord(benchmark::State& state) {
+  const ResolveRow row = make_resolve_row();
+  for (auto _ : state) resolve_row(row);
+}
+BENCHMARK(BM_ResolveWord);
 
 // --- scalar-vs-AVX2 report -------------------------------------------------
 
@@ -168,12 +219,7 @@ int simd_report(bool assert_avx2_wins) {
   Rng bit_rng(5);
   BitVec row(kColumns);
   row.randomize(bit_rng);
-  std::vector<BitVec> rows(32, BitVec(kColumns));
-  Rng rows_rng(6);
-  for (auto& r : rows) r.randomize(rows_rng);
-  std::vector<const BitVec*> ptrs;
-  for (const auto& r : rows) ptrs.push_back(&r);
-  std::vector<std::uint8_t> counts(kColumns);
+  const ResolveRow resolve_row_inputs = make_resolve_row();
   std::vector<float> deviates(kColumns);
   std::vector<double> counter_draws(kColumns);
   // margin_chain runs over sum classes (not columns); 1024 is a dense
@@ -211,11 +257,6 @@ int simd_report(bool assert_avx2_wins) {
          std::size_t total = 0;
          benchmark::DoNotOptimize(dram::kernels::lag8_disagreement(row, total));
        }},
-      {"column_popcounts_32rows",
-       [&] {
-         dram::kernels::column_popcounts(ptrs, counts);
-         benchmark::DoNotOptimize(counts.data());
-       }},
       {"hashed_normal_fill",
        [&] {
          dram::kernels::hashed_normal_fill(0x5eed, deviates);
@@ -236,6 +277,7 @@ int simd_report(bool assert_avx2_wins) {
          dram::kernels::margin_chain(sums, margin_params, zg, flags);
          benchmark::DoNotOptimize(zg.data());
        }},
+      {"resolve_word_row", [&] { resolve_row(resolve_row_inputs); }},
   };
 
   std::vector<bench_common::SimdRecord> records;

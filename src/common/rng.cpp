@@ -107,6 +107,16 @@ bool Rng::chance(double p) noexcept {
   return uniform() < p;
 }
 
+std::uint64_t Rng::coin_flips(std::uint64_t positions) noexcept {
+  std::uint64_t heads = 0;
+  for (; positions != 0; positions &= positions - 1) {
+    // chance(0.5) is uniform() < 0.5: the draw's top bit is clear.
+    const std::uint64_t win = ((*this)() >> 63) ^ 1;
+    heads |= (positions & (~positions + 1)) * win;
+  }
+  return heads;
+}
+
 Rng Rng::fork() noexcept { return Rng{(*this)()}; }
 
 double Rng::CounterStream::at(std::uint64_t index) const noexcept {

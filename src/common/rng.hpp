@@ -62,6 +62,13 @@ class Rng {
   /// Bernoulli trial with success probability `p`.
   bool chance(double p) noexcept;
 
+  /// One fair coin per set bit of `positions`, drawn in ascending bit
+  /// order: bit b of the result is what chance(0.5) would return for that
+  /// bit's draw, and the stream advances exactly as that many chance(0.5)
+  /// calls would. Word-at-a-time form for consumers that flip coins on a
+  /// bit mask (the charge-share tie columns).
+  std::uint64_t coin_flips(std::uint64_t positions) noexcept;
+
   /// Derives an independent child generator (for per-entity streams).
   Rng fork() noexcept;
 

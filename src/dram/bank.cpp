@@ -226,8 +226,14 @@ void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
   const BitVec source = row_buffer_;  // first row's data, held by the SAs.
   const BitlineContext bctx = bitline_ctx();
 
-  // Charge-share resolution over the driven rows (the MAJ outcome on
-  // bitlines whose SA had not latched the source).
+  // Bitlines whose SA had latched the source before the other rows
+  // connected keep the source (Multi-RowCopy); the charge share decides
+  // only the rest (the MAJ outcome). The latch-race mask comes first so
+  // the resolve can skip the latched bitlines.
+  const BitVec latched =
+      apa_.latch_fraction > 0.0
+          ? ctx_.electrical->latched_mask(bctx, apa_)
+          : BitVec(ctx_.profile->geometry.columns);
   std::vector<ConnectedRow> rows;
   rows.reserve(open_local_rows_.size());
   for (RowAddr r : open_local_rows_) {
@@ -241,21 +247,12 @@ void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
   }
   const double pattern_noise = ElectricalModel::estimate_pattern_noise(rows);
   ChargeShareResult share = ctx_.electrical->resolve_charge_share(
-      bctx, rows, pattern_noise, *ctx_.env, apa_, *ctx_.rng);
-
-  // Blend with the SA-latched (copy) outcome per bitline. The latch-race
-  // mask is resolved once for the whole operation instead of re-querying
-  // bitline_latched() column by column (and row by row below).
-  const std::size_t columns = ctx_.profile->geometry.columns;
+      bctx, rows, pattern_noise, *ctx_.env, apa_, latched, *ctx_.rng);
   const std::size_t n_dest = open_local_rows_.size() > 0
                                  ? open_local_rows_.size() - 1
                                  : 0;
-  BitVec resolved = share.resolved;
-  BitVec latched(columns);
-  if (apa_.latch_fraction > 0.0) {
-    latched = ctx_.electrical->latched_mask(bctx, apa_);
-    resolved.assign_masked(source, latched);
-  }
+  BitVec resolved = std::move(share.resolved);
+  resolved.assign_masked(source, latched);
 
   // The SAs restore the resolved value into every driven row. On latched
   // (copy-driven) bitlines, per-cell write-back can fail (Multi-RowCopy

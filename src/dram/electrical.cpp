@@ -240,60 +240,109 @@ double ElectricalModel::estimate_pattern_noise(
 
 namespace {
 
-/// Resolution precomputed for one discrete per-column sum value: the
-/// gain/pow/threshold chain is a pure function of the sum, so it runs
-/// once per distinct value instead of once per column.
+/// Resolution of one per-column sum value in the scalar fallback: the
+/// gain/pow/threshold chain of a single column.
 struct SumClass {
-  bool computed = false;
   bool tie = false;
   bool majority_one = false;
   double zg = 0.0;  ///< z / g, compared against the column's zeta deviate.
 };
 
-/// Parameters of the per-sum margin math, captured once per resolve.
-struct MarginMath {
-  double gain = 0.0;
-  double g = 1.0;
-  double noise_denominator = 1.0;
-  double threshold = 0.0;
-  double vendor_shift = 0.0;
-  double majx_z_penalty = 0.0;
-  double n_connected = 0.0;
-};
-
-/// Computes one class entry with exactly the per-column math of the
-/// scalar loop (double-promoted float sum in, z/g threshold out).
-SumClass make_sum_class(float fsum, const MarginMath& m) {
-  const auto& p = calib::kMajx;
+/// The per-column math of the scalar loop (double-promoted float sum in,
+/// z/g threshold out); kernels::margin_chain computes the same values.
+SumClass make_sum_class(float fsum, const kernels::MarginChainParams& m) {
   SumClass e;
-  e.computed = true;
   const double sum = fsum;
-  if (std::abs(sum) < 1e-9) {
+  if (kernels::is_tie_sum(fsum)) {
     e.tie = true;
     return e;
   }
   e.majority_one = sum > 0.0;
   const double x =
-      m.gain * std::pow(std::abs(sum) / (p.cap_ratio + m.n_connected),
-                        p.margin_exponent);
-  const double z = (x - m.threshold) / m.noise_denominator -
-                   m.majx_z_penalty + m.vendor_shift;
+      m.gain * std::pow(std::abs(sum) / (m.cap_ratio + m.n_connected),
+                        m.margin_exponent);
+  const double z = (x - m.threshold) / m.noise_denominator - m.z_penalty +
+                   m.vendor_shift;
   e.zg = z / m.g;
   return e;
 }
 
-/// Folds the per-column accumulation sequence of a (lead, odd, tail)
-/// weight-class combination: `n_lead` rows of `tw_common` set before the
-/// odd-weight row, the odd row itself when `has_odd`, then `n_tail` more
-/// common rows — the exact float-addition order of the scalar loop over
-/// rows, which is what makes the per-class sums bit-identical to it.
-float fold_class_sum(float total_weight, std::size_t n_lead, bool has_odd,
-                     float tw_odd, std::size_t n_tail, float tw_common) {
-  float sum = -total_weight;
-  for (std::size_t i = 0; i < n_lead; ++i) sum += tw_common;
-  if (has_odd) sum += tw_odd;
-  for (std::size_t i = 0; i < n_tail; ++i) sum += tw_common;
-  return sum;
+/// Sum classes of a weight-class shape: `n_lead` rows of the common
+/// weight, then the odd-weight row (if any), then `n_tail` common rows.
+/// A column's class index packs its count planes: bit 0 is the odd row's
+/// bit (two-class shapes only), the next `tail_bits` the number of set
+/// tail rows, the top bits the number of set lead rows. Ascending index
+/// is ascending (lead, tail, odd), the order the per-class sums fold in.
+struct ClassTable {
+  std::size_t odd_bits = 0;
+  std::size_t tail_bits = 0;
+  std::size_t lead_bits = 0;
+  std::vector<float> sums;
+  std::vector<double> zg;
+  /// kClassTie for tie classes, kClassPending until a class's margin is
+  /// computed, margin_chain's flags after.
+  std::vector<std::int32_t> flags;
+  std::vector<std::size_t> ties;
+
+  std::size_t planes() const noexcept {
+    return odd_bits + tail_bits + lead_bits;
+  }
+
+  /// Computes the margins of the still-pending classes in `classes`.
+  void compute(std::span<const std::size_t> classes,
+               const kernels::MarginChainParams& mp) {
+    std::vector<std::size_t> batch;
+    std::vector<float> batch_sums;
+    for (const std::size_t cls : classes) {
+      if (flags[cls] != kernels::kClassPending) continue;
+      flags[cls] = 0;  // queued: a class repeated in `classes` runs once.
+      batch.push_back(cls);
+      batch_sums.push_back(sums[cls]);
+    }
+    std::vector<double> batch_zg(batch.size());
+    std::vector<std::int32_t> batch_flags(batch.size());
+    kernels::margin_chain(batch_sums, mp, batch_zg, batch_flags);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      zg[batch[i]] = batch_zg[i];
+      flags[batch[i]] = batch_flags[i];
+    }
+  }
+};
+
+/// Every class's sum in the exact float-addition order of the scalar row
+/// loop (float addition is not associative), each prefix shared by its
+/// extensions, and the tie classes. The margins stay pending: only
+/// classes some column realizes pay for the pow chain.
+ClassTable make_class_table(float total_weight, float tw_common,
+                            std::size_t n_lead, bool has_odd, float tw_odd,
+                            std::size_t n_tail) {
+  ClassTable t;
+  t.odd_bits = has_odd ? 1 : 0;
+  t.tail_bits = static_cast<std::size_t>(std::bit_width(n_tail));
+  t.lead_bits = static_cast<std::size_t>(std::bit_width(n_lead));
+  const std::size_t size = std::size_t{1} << t.planes();
+  t.sums.assign(size, 0.0f);
+  t.zg.assign(size, 0.0);
+  t.flags.assign(size, kernels::kClassPending);
+  const std::size_t lead_shift = t.odd_bits + t.tail_bits;
+  float lead_sum = -total_weight;
+  for (std::size_t lead = 0; lead <= n_lead; ++lead) {
+    if (lead > 0) lead_sum += tw_common;
+    for (std::size_t odd = 0; odd <= t.odd_bits; ++odd) {
+      float sum = odd != 0 ? lead_sum + tw_odd : lead_sum;
+      for (std::size_t tail = 0; tail <= n_tail; ++tail) {
+        if (tail > 0) sum += tw_common;
+        const std::size_t cls =
+            (lead << lead_shift) | (tail << t.odd_bits) | odd;
+        t.sums[cls] = sum;
+        if (kernels::is_tie_sum(sum)) {
+          t.flags[cls] = kernels::kClassTie;
+          t.ties.push_back(cls);
+        }
+      }
+    }
+  }
+  return t;
 }
 
 /// Sense-margin (z/g) bucket edges, shared by the registry histogram and
@@ -343,25 +392,29 @@ struct MarginBatch {
 ChargeShareResult ElectricalModel::resolve_charge_share(
     const BitlineContext& ctx, std::span<const ConnectedRow> rows,
     double pattern_noise, const EnvironmentState& env, const ApaDecision& apa,
-    Rng& rng) const {
+    const BitVec& decided, Rng& rng) const {
   SIMRA_PROF_SCOPE("electrical/resolve_charge_share");
   const bool obs_margins = obs::enabled();
   MarginBatch margins;
   const auto& p = calib::kMajx;
   const std::size_t columns = ctx.columns;
+  if (decided.size() != columns)
+    throw std::invalid_argument("decided mask must cover every column");
 
   ChargeShareResult out;
   out.resolved = BitVec(columns);
   out.stable = BitVec(columns);
 
-  MarginMath m;
-  m.n_connected = static_cast<double>(rows.size());
-  m.gain = env_gain(env);
-  m.g = group_quality(ctx, kSaltMajGroup);
-  m.noise_denominator = std::sqrt(1.0 + m.n_connected * p.cell_noise);
-  m.threshold = p.threshold + p.coupling * pattern_noise;
-  m.vendor_shift = profile_->maj_margin_shift;
-  m.majx_z_penalty = apa.majx_z_penalty;
+  kernels::MarginChainParams mp;
+  mp.n_connected = static_cast<double>(rows.size());
+  mp.gain = env_gain(env);
+  mp.g = group_quality(ctx, kSaltMajGroup);
+  mp.noise_denominator = std::sqrt(1.0 + mp.n_connected * p.cell_noise);
+  mp.threshold = p.threshold + p.coupling * pattern_noise;
+  mp.vendor_shift = profile_->maj_margin_shift;
+  mp.z_penalty = apa.majx_z_penalty;
+  mp.cap_ratio = p.cap_ratio;
+  mp.margin_exponent = p.margin_exponent;
 
   // Rows fall into weight classes (the first-activated row vs the rest),
   // so each column's signed float sum — accumulated row by row in the
@@ -411,146 +464,117 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     }
   }
 
-  const auto zeta_span =
-      deviates(kSaltMajOffset, ctx.bank, ctx.subarray, columns);
-  const auto polarity_span =
-      deviates(kSaltMajPolarity, ctx.bank, ctx.subarray, columns);
-  const std::span<const float> zetas(zeta_span.get(), columns);
-  const std::span<const float> polarities(polarity_span.get(), columns);
-
   bool full_width = true;
   for (const BitVec* row : data_rows)
     if (row->size() < columns) full_width = false;
 
   if ((all_equal || two_class) && k <= 63 && full_width) {
-    // Per-column class indices from bit-sliced popcounts.
-    std::vector<std::uint8_t> lead_counts(columns, 0);
-    std::vector<std::uint8_t> tail_counts;
-    const BitVec* odd_row = nullptr;
-    float tw_common = k > 0 ? twice_w[0] : 0.0f;
-    std::size_t n_lead_rows = k;
-    std::size_t n_tail_rows = 0;
-    if (two_class) {
-      odd_row = data_rows[odd_index];
-      tw_common = twice_w[odd_index == 0 ? 1 : 0];
-      n_lead_rows = odd_index;
-      n_tail_rows = k - odd_index - 1;
-      tail_counts.assign(columns, 0);
-      kernels::column_popcounts(
-          std::span<const BitVec* const>(data_rows.data(), n_lead_rows),
-          lead_counts);
-      kernels::column_popcounts(
-          std::span<const BitVec* const>(data_rows.data() + odd_index + 1,
-                                         n_tail_rows),
-          tail_counts);
-    } else if (k > 0) {
-      kernels::column_popcounts(
-          std::span<const BitVec* const>(data_rows.data(), k), lead_counts);
-    }
-
+    // One pass over 64-column words. Each word builds its class planes,
+    // draws its tie columns, and resolves only its undecided columns.
+    const std::size_t n_lead = two_class ? odd_index : k;
+    const std::size_t n_tail = two_class ? k - odd_index - 1 : 0;
+    const std::size_t common_index = two_class && odd_index == 0 ? 1 : 0;
+    const float tw_common = k > 0 ? twice_w[common_index] : 0.0f;
     const float tw_odd = two_class ? twice_w[odd_index] : 0.0f;
-    const std::size_t tail_span = n_tail_rows + 1;
-    const std::size_t n_classes =
-        two_class ? (n_lead_rows + 1) * tail_span * 2 : n_lead_rows + 1;
+    ClassTable table = make_class_table(total_weight, tw_common, n_lead,
+                                        two_class, tw_odd, n_tail);
+    const std::span<const BitVec* const> lead_rows(data_rows.data(), n_lead);
+    const std::span<const BitVec* const> tail_rows(
+        data_rows.data() + n_lead + table.odd_bits, n_tail);
+    std::vector<std::uint64_t> class_count(
+        obs_margins ? table.flags.size() : 0, 0);
+    std::shared_ptr<const float[]> zeta_span;
+    std::shared_ptr<const float[]> polarity_span;
+    std::vector<std::size_t> first_seen;
 
-    // Pass 1: per-column class index plus per-class column counts — the
-    // only per-column state the margin math needs.
-    std::vector<std::int32_t> class_of(columns);
-    std::vector<std::uint64_t> class_count(n_classes, 0);
-    {
-      std::size_t c = 0;
-      for (std::size_t wi = 0; c < columns; ++wi) {
-        const std::uint64_t odd_word =
-            odd_row != nullptr ? odd_row->words()[wi] : 0;
-        const std::size_t limit = std::min<std::size_t>(64, columns - c);
-        for (std::size_t b = 0; b < limit; ++b, ++c) {
-          std::size_t index = lead_counts[c];
-          if (two_class) {
-            const bool odd_set = (odd_word >> b) & 1ULL;
-            index = (index * tail_span + tail_counts[c]) * 2 +
-                    static_cast<std::size_t>(odd_set);
-          }
-          class_of[c] = static_cast<std::int32_t>(index);
-          ++class_count[index];
-        }
+    for (std::size_t wi = 0; wi < decided.word_count(); ++wi) {
+      const std::size_t base = wi * 64;
+      const std::size_t limit = std::min<std::size_t>(64, columns - base);
+      const std::uint64_t valid = limit == 64 ? ~0ULL : (1ULL << limit) - 1;
+      std::uint64_t undecided = ~decided.words()[wi] & valid;
+      // Nothing to resolve, no tie draws, no margins to observe: the word
+      // is done before its planes are built.
+      if (undecided == 0 && table.ties.empty() && !obs_margins) continue;
+
+      kernels::ClassPlanes planes;
+      planes.count = table.planes();
+      if (two_class) planes.planes[0] = data_rows[odd_index]->words()[wi];
+      if (n_tail > 0)
+        kernels::column_popcounts(
+            tail_rows, wi,
+            std::span(planes.planes + table.odd_bits, table.tail_bits));
+      if (n_lead > 0)
+        kernels::column_popcounts(
+            lead_rows, wi,
+            std::span(planes.planes + table.odd_bits + table.tail_bits,
+                      table.lead_bits));
+      if (obs_margins)
+        for (std::size_t b = 0; b < limit; ++b) ++class_count[planes.index(b)];
+
+      // Metastable ties in ascending column order — the Rng draw sequence
+      // of the scalar loop. Decided bitlines draw too and discard the
+      // value, so the stream does not depend on the latch race.
+      std::uint64_t tie_word = 0;
+      for (const std::size_t cls : table.ties) tie_word |= planes.match(cls);
+      tie_word &= valid;
+      const std::uint64_t tie_values = rng.coin_flips(tie_word) & undecided;
+      out.ties += static_cast<std::size_t>(std::popcount(tie_word));
+      undecided &= ~tie_word;
+      if (undecided == 0) {
+        out.resolved.set_word(wi, tie_values);
+        continue;
       }
+
+      if (!zeta_span) {
+        zeta_span = deviates(kSaltMajOffset, ctx.bank, ctx.subarray, columns);
+        polarity_span =
+            deviates(kSaltMajPolarity, ctx.bank, ctx.subarray, columns);
+      }
+      const std::span<const float> zetas(zeta_span.get() + base, limit);
+      const std::span<const float> polarities(polarity_span.get() + base,
+                                              limit);
+      kernels::WordVerdict v = kernels::resolve_word(
+          planes, undecided, table.zg, table.flags, zetas, polarities);
+      if (v.pending != 0) {
+        // First sight of these classes: compute their margins, then
+        // resolve their columns.
+        first_seen.clear();
+        for (std::uint64_t rest = v.pending; rest != 0; rest &= rest - 1)
+          first_seen.push_back(
+              planes.index(static_cast<std::size_t>(std::countr_zero(rest))));
+        table.compute(first_seen, mp);
+        const kernels::WordVerdict late = kernels::resolve_word(
+            planes, v.pending, table.zg, table.flags, zetas, polarities);
+        v.resolved |= late.resolved;
+        v.stable |= late.stable;
+      }
+      out.resolved.set_word(wi, tie_values | v.resolved);
+      out.stable.set_word(wi, v.stable);
     }
 
-    // Pass 2: fold the sums of the realized classes (exact float-add
-    // order of the scalar row loop), run the batched margin chain over
-    // them, and scatter the verdicts into the class -> verdict table.
-    std::vector<std::int32_t> realized;
-    realized.reserve(n_classes);
-    for (std::size_t idx = 0; idx < n_classes; ++idx)
-      if (class_count[idx] != 0)
-        realized.push_back(static_cast<std::int32_t>(idx));
-    std::vector<float> class_sums(realized.size());
-    for (std::size_t i = 0; i < realized.size(); ++i) {
-      const auto idx = static_cast<std::size_t>(realized[i]);
-      std::size_t n_lead = idx;
-      bool odd_set = false;
-      std::size_t n_tail = 0;
-      if (two_class) {
-        odd_set = (idx & 1) != 0;
-        const std::size_t rest = idx >> 1;
-        n_lead = rest / tail_span;
-        n_tail = rest % tail_span;
-      }
-      class_sums[i] = fold_class_sum(total_weight, n_lead, odd_set, tw_odd,
-                                     n_tail, tw_common);
-    }
-
-    kernels::MarginChainParams mp;
-    mp.gain = m.gain;
-    mp.g = m.g;
-    mp.noise_denominator = m.noise_denominator;
-    mp.threshold = m.threshold;
-    mp.vendor_shift = m.vendor_shift;
-    mp.z_penalty = m.majx_z_penalty;
-    mp.n_connected = m.n_connected;
-    mp.cap_ratio = p.cap_ratio;
-    mp.margin_exponent = p.margin_exponent;
-
-    std::vector<double> dense_zg(realized.size());
-    std::vector<std::int32_t> dense_flags(realized.size());
-    kernels::margin_chain(class_sums, mp, dense_zg, dense_flags);
-
-    std::vector<double> zg_table(n_classes, 0.0);
-    std::vector<std::int32_t> flag_table(n_classes, 0);
-    for (std::size_t i = 0; i < realized.size(); ++i) {
-      const auto idx = static_cast<std::size_t>(realized[i]);
-      zg_table[idx] = dense_zg[i];
-      flag_table[idx] = dense_flags[i];
-      if (obs_margins && (dense_flags[i] & kernels::kClassTie) == 0)
-        margins.add(dense_zg[i], class_count[idx]);
-    }
-    margins.flush();
-
-    // Pass 3: table-driven resolve, then the metastable ties in
-    // ascending column order — the same Rng draw sequence as the scalar
-    // loop, which consumed tie coin flips in column order too.
-    BitVec ties(columns);
-    out.ties = kernels::class_resolve(class_of, zg_table, flag_table, zetas,
-                                      polarities, out.resolved, out.stable,
-                                      ties);
-    if (out.ties != 0) {
-      const auto& tie_words = ties.words();
-      for (std::size_t wi = 0; wi < tie_words.size(); ++wi) {
-        std::uint64_t word = tie_words[wi];
-        const std::size_t base = wi * 64;
-        while (word != 0) {
-          const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-          word &= word - 1;
-          // Perfect tie: the SA resolves metastably.
-          out.resolved.set(base + bit, rng.chance(0.5));
-        }
-      }
+    if (obs_margins) {
+      // Count-weighted margin observations over every column, decided or
+      // not, in ascending class order.
+      std::vector<std::size_t> counted;
+      for (std::size_t cls = 0; cls < class_count.size(); ++cls)
+        if (class_count[cls] != 0) counted.push_back(cls);
+      table.compute(counted, mp);
+      for (const std::size_t cls : counted)
+        if ((table.flags[cls] & kernels::kClassTie) == 0)
+          margins.add(table.zg[cls], class_count[cls]);
+      margins.flush();
     }
     return out;
   }
 
   // Scalar fallback (3+ weight classes or > 63 rows): the original
   // per-column accumulation and margin math.
+  const auto zeta_span =
+      deviates(kSaltMajOffset, ctx.bank, ctx.subarray, columns);
+  const auto polarity_span =
+      deviates(kSaltMajPolarity, ctx.bank, ctx.subarray, columns);
+  const std::span<const float> zetas(zeta_span.get(), columns);
+  const std::span<const float> polarities(polarity_span.get(), columns);
   std::vector<float> sums(columns, -total_weight);
   for (std::size_t ri = 0; ri < k; ++ri) {
     const float tw = twice_w[ri];
@@ -566,7 +590,7 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     }
   }
   for (std::size_t c = 0; c < columns; ++c) {
-    const SumClass e = make_sum_class(sums[c], m);
+    const SumClass e = make_sum_class(sums[c], mp);
     if (obs_margins && !e.tie) margins.add(e.zg, 1);
     if (e.tie) {
       out.resolved.set(c, rng.chance(0.5));
@@ -632,18 +656,6 @@ const BitVec& ElectricalModel::copy_stable_mask(const BitlineContext& ctx,
       kSaltCopyOffset, ctx.bank,
       (static_cast<std::uint64_t>(ctx.subarray) << 32) | dest_row,
       ctx.columns, z_eff);
-}
-
-bool ElectricalModel::bitline_latched(const BitlineContext& ctx,
-                                      std::size_t column,
-                                      const ApaDecision& apa) const {
-  if (apa.latch_fraction <= 0.0) return false;
-  if (apa.latch_fraction >= 1.0) return true;
-  // Persistent race outcome per bitline: higher latch fractions strictly
-  // grow the latched set (the threshold moves, the deviate does not).
-  const auto race =
-      deviates(kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns);
-  return normal_cdf(race[column]) < apa.latch_fraction;
 }
 
 BitVec ElectricalModel::latched_mask(const BitlineContext& ctx,

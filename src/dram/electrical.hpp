@@ -79,7 +79,8 @@ struct BitlineContext {
 struct ChargeShareResult {
   BitVec resolved;       ///< value latched by each sense amplifier.
   BitVec stable;         ///< bit set where the outcome is deterministic.
-  std::size_t ties = 0;  ///< columns with exactly zero net imbalance.
+  std::size_t ties = 0;  ///< columns with exactly zero net imbalance
+                         ///< (decided ones included).
 };
 
 /// Thread-safe LRU cache of deviate spans. Every ElectricalModel owns one;
@@ -151,13 +152,21 @@ class ElectricalModel {
   /// Resolves the sense amplifiers for a simultaneous charge share across
   /// `rows` (the MAJ regime). `pattern_noise` in [0, 0.5] is the
   /// bitline-coupling activity of the stored data (see
-  /// pattern_coupling_fraction); `env` scales the charge gain. Unstable
-  /// bitlines resolve to a per-trial coin flip drawn from `rng`.
+  /// pattern_coupling_fraction); `env` scales the charge gain. Bitlines
+  /// set in `decided` (sized ctx.columns) already hold their value — the
+  /// SAs that latched the source row before the other rows connected —
+  /// so the resolve skips them: their `resolved` and `stable` bits carry
+  /// no meaning, and the caller supplies the value. Metastable (perfect
+  /// tie) bitlines resolve to a per-trial coin flip drawn from `rng`,
+  /// one draw per tie column in ascending column order, decided or not:
+  /// the draw sequence, and with it every later use of `rng`, does not
+  /// depend on the latch race. `ties` counts those draws.
   ChargeShareResult resolve_charge_share(const BitlineContext& ctx,
                                          std::span<const ConnectedRow> rows,
                                          double pattern_noise,
                                          const EnvironmentState& env,
                                          const ApaDecision& apa,
+                                         const BitVec& decided,
                                          Rng& rng) const;
 
   /// Per-cell stability of a WR overdrive into `group_rows` simultaneously
@@ -179,19 +188,14 @@ class ElectricalModel {
                                  std::size_t n_dest, const BitVec& source,
                                  const EnvironmentState& env) const;
 
-  /// Whether the sense amplifier of column `c` had latched the source
-  /// value before the second ACT connected the other rows (persistent
-  /// per bitline; the fraction of latched bitlines is apa.latch_fraction).
-  /// Scalar reference for `latched_mask` — prefer the batched form on hot
-  /// paths: each call here re-resolves the full deviate span.
-  bool bitline_latched(const BitlineContext& ctx, std::size_t column,
-                       const ApaDecision& apa) const;
-
-  /// All columns' latch-race outcomes at once: bit c set iff
-  /// bitline_latched(ctx, c, apa). Memoized in the mask memo per (bank,
-  /// subarray, columns, latch_fraction) — the race deviates are persistent
-  /// and the threshold only depends on the APA timing, so repeated trials
-  /// reuse the mask.
+  /// Which sense amplifiers had latched the source value before the
+  /// second ACT connected the other rows: bit c set iff
+  /// normal_cdf(race deviate of c) < apa.latch_fraction. Persistent per
+  /// bitline — higher latch fractions strictly grow the latched set (the
+  /// threshold moves, the deviate does not). Memoized in the mask memo
+  /// per (bank, subarray, columns, latch_fraction): the race deviates are
+  /// persistent and the threshold only depends on the APA timing, so
+  /// repeated trials reuse the mask.
   BitVec latched_mask(const BitlineContext& ctx, const ApaDecision& apa) const;
 
   /// Resolves sensing of a single Frac (VDD/2) row: each SA falls to its

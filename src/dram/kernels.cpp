@@ -4,7 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -173,47 +173,27 @@ std::size_t lag8_disagreement(const BitVec& v, std::size_t& total) {
   return disagree;
 }
 
-void column_popcounts(std::span<const BitVec* const> rows,
-                      std::span<std::uint8_t> counts) {
+void column_popcounts(std::span<const BitVec* const> rows, std::size_t word,
+                      std::span<std::uint64_t> planes) {
   if (rows.size() > 63)
     throw std::invalid_argument("column_popcounts supports up to 63 rows");
-  const std::size_t columns = counts.size();
-  for (const BitVec* row : rows)
-    if (row->size() < columns)
-      throw std::invalid_argument("column_popcounts row narrower than counts");
-  const bool use_avx2 = active_simd() == SimdTier::avx2;
-  const std::size_t n_words = (columns + kWordBits - 1) / kWordBits;
-  for (std::size_t wi = 0; wi < n_words; ++wi) {
-    // Bit-sliced ripple-carry accumulation: plane p holds bit p of every
-    // column's running count, so adding a row is O(planes) word ops
-    // instead of O(set bits) scalar ops.
-    std::uint64_t planes[6] = {0, 0, 0, 0, 0, 0};
-    for (const BitVec* row : rows) {
-      std::uint64_t carry = row->words()[wi];
-      for (int p = 0; carry != 0 && p < 6; ++p) {
-        const std::uint64_t prev = planes[p];
-        planes[p] ^= carry;
-        carry &= prev;
-      }
-    }
-    const std::size_t base = wi * kWordBits;
-    const std::size_t limit = std::min(kWordBits, columns - base);
-    if (use_avx2) {
-      // Vectorized bit -> byte expansion of the six planes.
-      if (limit == kWordBits) {
-        avx2::column_counts_word(planes, counts.data() + base);
-      } else {
-        std::uint8_t tail[kWordBits];
-        avx2::column_counts_word(planes, tail);
-        std::memcpy(counts.data() + base, tail, limit);
-      }
-      continue;
-    }
-    for (std::size_t b = 0; b < limit; ++b) {
-      std::uint8_t count = 0;
-      for (int p = 0; p < 6; ++p)
-        count |= static_cast<std::uint8_t>((planes[p] >> b) & 1ULL) << p;
-      counts[base + b] = count;
+  const auto width = static_cast<std::size_t>(std::bit_width(rows.size()));
+  if (planes.size() < width)
+    throw std::invalid_argument("column_popcounts needs more planes");
+  std::fill(planes.begin(), planes.end(), 0);
+  // Bit-sliced ripple-carry accumulation: plane p holds bit p of every
+  // column's running count. Counts stay below 2^width, so the carry out
+  // of the top plane is always zero. The carry runs through every plane
+  // rather than stopping when it clears: with data-dependent words that
+  // exit is a branch mispredicted about once per row.
+  for (const BitVec* row : rows) {
+    if (word >= row->word_count())
+      throw std::invalid_argument("column_popcounts row narrower than word");
+    std::uint64_t carry = row->words()[word];
+    for (std::size_t p = 0; p < width; ++p) {
+      const std::uint64_t prev = planes[p];
+      planes[p] ^= carry;
+      carry &= prev;
     }
   }
 }
@@ -259,7 +239,7 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
   }
   for (std::size_t i = 0; i < sums.size(); ++i) {
     const double sum = sums[i];
-    if (std::abs(sum) < 1e-9) {
+    if (is_tie_sum(sums[i])) {
       flags[i] = kClassTie;
       zg[i] = 0.0;
       continue;
@@ -274,46 +254,89 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
   }
 }
 
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties) {
-  const std::size_t n = class_of.size();
-  if (zetas.size() < n || polarities.size() < n)
-    throw std::invalid_argument("class_resolve deviate span too short");
-  std::size_t n_ties = 0;
-  if (active_simd() == SimdTier::avx2) {
-    n_ties = avx2::class_resolve(class_of, zg, flags, zetas, polarities,
-                                 resolved, stable, ties);
-    return n_ties;
+namespace {
+
+/// Calls leaf(cls, columns) once for every class index present among the
+/// `columns` bits: the column set splits on each plane's bit, top plane
+/// first, so only realized classes are ever visited and the work is
+/// O(planes) word ops per class present, never per column.
+template <typename Leaf>
+void for_each_class(const ClassPlanes& planes, std::size_t plane,
+                    std::size_t cls, std::uint64_t columns, Leaf& leaf) {
+  if (plane == 0) {
+    leaf(cls, columns);
+    return;
   }
-  std::size_t c = 0;
-  for (std::size_t wi = 0; c < n; ++wi) {
-    std::uint64_t resolved_word = 0;
-    std::uint64_t stable_word = 0;
-    std::uint64_t tie_word = 0;
-    const std::size_t limit = std::min(kWordBits, n - c);
-    for (std::size_t b = 0; b < limit; ++b, ++c) {
-      const auto cls = static_cast<std::size_t>(class_of[c]);
-      if ((flags[cls] & kClassTie) != 0) {
-        tie_word |= 1ULL << b;
-        ++n_ties;
-      } else if (zg[cls] > zetas[c]) {
-        resolved_word |=
-            static_cast<std::uint64_t>((flags[cls] & kClassMajorityOne) != 0)
-            << b;
-        stable_word |= 1ULL << b;
-      } else {
-        resolved_word |= static_cast<std::uint64_t>(polarities[c] > 0.0f) << b;
-      }
+  --plane;
+  if (const std::uint64_t ones = columns & planes.planes[plane])
+    for_each_class(planes, plane, cls | (std::size_t{1} << plane), ones, leaf);
+  if (const std::uint64_t zeros = columns & ~planes.planes[plane])
+    for_each_class(planes, plane, cls, zeros, leaf);
+}
+
+/// The smallest float t with double(t) >= zg, so that for every float z
+/// (zg > z) <=> (z < t): the double compare of the scalar loop as a float
+/// compare, eight lanes per instruction.
+float float_bound(double zg) {
+  float t = static_cast<float>(zg);
+  if (static_cast<double>(t) < zg)
+    t = std::nextafter(t, std::numeric_limits<float>::infinity());
+  return t;
+}
+
+}  // namespace
+
+WordVerdict resolve_word(const ClassPlanes& planes, std::uint64_t undecided,
+                         std::span<const double> zg,
+                         std::span<const std::int32_t> flags,
+                         std::span<const float> zetas,
+                         std::span<const float> polarities) {
+  const std::size_t n = zetas.size();
+  if (polarities.size() != n || n > kWordBits ||
+      (n < kWordBits && (undecided >> n) != 0))
+    throw std::invalid_argument("resolve_word column span mismatch");
+  if (planes.count > ClassPlanes::kMaxPlanes ||
+      zg.size() < (std::size_t{1} << planes.count) ||
+      flags.size() != zg.size())
+    throw std::invalid_argument("resolve_word class table too small");
+  WordVerdict v;
+  if (undecided == 0) return v;
+  const bool use_avx2 = active_simd() == SimdTier::avx2;
+  std::uint64_t majority = 0;
+  avx2::ClassBound bounds[kWordBits];  // at most one class per column.
+  std::size_t n_bounds = 0;
+  auto leaf = [&](std::size_t cls, std::uint64_t columns) {
+    if ((flags[cls] & kClassPending) != 0) {
+      v.pending |= columns;
+      return;
     }
-    resolved.set_word(wi, resolved_word);
-    stable.set_word(wi, stable_word);
-    ties.set_word(wi, tie_word);
+    if ((flags[cls] & kClassMajorityOne) != 0) majority |= columns;
+    if (use_avx2) {
+      bounds[n_bounds++] = {columns, float_bound(zg[cls])};
+      return;
+    }
+    for (std::uint64_t rest = columns; rest != 0; rest &= rest - 1) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(rest));
+      if (zg[cls] > zetas[b]) v.stable |= 1ULL << b;
+    }
+  };
+  for_each_class(planes, planes.count, 0, undecided, leaf);
+  if (use_avx2)
+    v.stable = avx2::compare_lt_class_bounds(zetas.data(), n, bounds, n_bounds);
+  v.resolved = v.stable & majority;
+
+  // Columns below their class's margin fall to their SA's polarity.
+  const std::uint64_t weak = undecided & ~v.pending & ~v.stable;
+  if (use_avx2) {
+    v.resolved |= avx2::compare_gt_float_word(polarities.data(), n, 0.0f) &
+                  weak;
+  } else {
+    for (std::uint64_t rest = weak; rest != 0; rest &= rest - 1) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(rest));
+      if (polarities[b] > 0.0f) v.resolved |= 1ULL << b;
+    }
   }
-  return n_ties;
+  return v;
 }
 
 }  // namespace simra::dram::kernels

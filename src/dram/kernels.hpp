@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -61,11 +62,13 @@ BitVec offset_noise_mask(std::span<const float> offsets,
 /// contribute nothing (mirrors the scalar guard).
 std::size_t lag8_disagreement(const BitVec& v, std::size_t& total);
 
-/// Per-column popcount across up to 63 equally sized rows, bit-sliced:
-/// counts[c] = number of `rows` with bit c set. `counts` must hold
-/// columns entries and is overwritten.
-void column_popcounts(std::span<const BitVec* const> rows,
-                      std::span<std::uint8_t> counts);
+/// Per-column popcount across up to 63 rows at one 64-column word,
+/// bit-sliced: on return bit b of planes[p] is bit p of the number of
+/// `rows` with column 64 * word + b set. A ripple-carry adder over the
+/// row words — O(planes) word ops per row, no per-column work. `planes`
+/// must hold at least bit_width(rows.size()) entries and is overwritten.
+void column_popcounts(std::span<const BitVec* const> rows, std::size_t word,
+                      std::span<std::uint64_t> planes);
 
 /// out[i] = float(inverse_normal_cdf(uniform(hash_combine(prefix, i)))) —
 /// the batched hashed-normal evaluation behind
@@ -108,33 +111,84 @@ struct MarginChainParams {
 /// margin_chain flag bits (one entry per sum class).
 inline constexpr std::int32_t kClassTie = 1;          ///< |sum| < 1e-9.
 inline constexpr std::int32_t kClassMajorityOne = 2;  ///< sum > 0.
+/// Set by callers on a class-table entry whose margin is not computed yet;
+/// margin_chain never produces it.
+inline constexpr std::int32_t kClassPending = 4;
+
+/// The tie criterion of a class sum: a perfect charge balance, on which
+/// the sense amplifier resolves metastably.
+inline bool is_tie_sum(float sum) noexcept {
+  return std::abs(static_cast<double>(sum)) < 1e-9;
+}
 
 /// Batched per-class margin chain: for every class sum,
-///   tie (|sum| < 1e-9)  ->  flags = kClassTie, zg = 0
+///   tie (is_tie_sum)    ->  flags = kClassTie, zg = 0
 ///   else                ->  flags = (sum > 0) ? kClassMajorityOne : 0,
 ///     x  = gain * pow(|sum| / (cap_ratio + n_connected), margin_exponent)
 ///     zg = ((x - threshold) / noise_denominator - z_penalty
 ///           + vendor_shift) / g
 /// filling the class -> verdict table in one pass. std::pow stays scalar
 /// (libm bit-identity) at every tier; the surrounding arithmetic
-/// vectorizes. `zg` and `flags` must match `sums` in size.
+/// vectorizes. `zg` and `flags` must match `sums` in size. Each entry
+/// depends on its own sum only, so any batching of the classes yields
+/// the same values.
 void margin_chain(std::span<const float> sums, const MarginChainParams& p,
                   std::span<double> zg, std::span<std::int32_t> flags);
 
-/// Resolves every column against a class -> verdict table: with
-/// cls = class_of[c],
-///   flags[cls] tie        -> ties bit c set (caller resolves tie columns
-///                            afterwards, in ascending column order),
-///   zg[cls] > zetas[c]    -> resolved = majority bit, stable bit set,
-///   otherwise             -> resolved = (polarities[c] > 0).
-/// The masks are overwritten and must be pre-sized to class_of.size();
-/// returns the number of tie columns. Exactly the per-column branch
-/// sequence of the scalar resolve loop, table-driven and word-packed.
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties);
+/// Class indices of one 64-column word in bit-sliced form: bit b of
+/// planes[j] is bit j of column b's class index, for j < count.
+struct ClassPlanes {
+  static constexpr std::size_t kMaxPlanes = 12;
+  std::uint64_t planes[kMaxPlanes] = {};
+  std::size_t count = 0;
+
+  /// Column b's class index.
+  std::size_t index(std::size_t b) const noexcept {
+    std::size_t cls = 0;
+    for (std::size_t j = 0; j < count; ++j)
+      cls |= static_cast<std::size_t>((planes[j] >> b) & 1ULL) << j;
+    return cls;
+  }
+  /// Bit b set iff column b's class index is `cls`.
+  std::uint64_t match(std::size_t cls) const noexcept {
+    std::uint64_t m = ~0ULL;
+    for (std::size_t j = 0; j < count; ++j)
+      m &= ((cls >> j) & 1U) != 0 ? planes[j] : ~planes[j];
+    return m;
+  }
+};
+
+/// One word's verdicts from resolve_word (bit b = column b of the word).
+struct WordVerdict {
+  std::uint64_t resolved = 0;
+  std::uint64_t stable = 0;
+  std::uint64_t pending = 0;  ///< columns whose class is kClassPending.
+};
+
+/// Resolves the `undecided` columns of one 64-column word against a
+/// class -> verdict table. With cls = planes.index(b), for each bit b of
+/// `undecided`:
+///   flags[cls] pending    -> pending bit b (the caller computes the class
+///                            and resolves those columns again),
+///   zg[cls] > zetas[b]    -> resolved = majority bit, stable bit set,
+///   otherwise             -> resolved = (polarities[b] > 0).
+/// Columns outside `undecided` stay clear, so a fully decided word costs
+/// nothing. Tie-class columns must not be in `undecided`: their values
+/// come from the caller's ordered coin flips. `zetas` and `polarities`
+/// hold the word's columns (<= 64; fewer on the boundary word), `undecided`
+/// has no bit at or past their size, and the table covers every index the
+/// planes can form (2^planes.count entries).
+///
+/// No per-column class index is formed: the undecided set splits on the
+/// planes into one column mask per class present, and each class's
+/// margin compares against the zetas of the 8-column groups it occupies
+/// (AVX2: a float compare against the smallest float >= zg, exact for
+/// float zetas). Bit-identical to the per-column branch of the scalar
+/// loop.
+WordVerdict resolve_word(const ClassPlanes& planes, std::uint64_t undecided,
+                         std::span<const double> zg,
+                         std::span<const std::int32_t> flags,
+                         std::span<const float> zetas,
+                         std::span<const float> polarities);
 
 }  // namespace simra::dram::kernels

@@ -108,6 +108,47 @@ std::uint64_t compare_lt_word(const double* values, std::size_t limit,
   return word;
 }
 
+std::uint64_t compare_lt_class_bounds(const float* values, std::size_t limit,
+                                      const ClassBound* classes,
+                                      std::size_t count) {
+  const std::size_t groups = limit / 8;
+  __m256 v[kWordBits / 8];
+  for (std::size_t g = 0; g < groups; ++g)
+    v[g] = _mm256_loadu_ps(values + 8 * g);
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t columns = classes[i].columns;
+    const float bound = classes[i].bound;
+    const __m256 vt = _mm256_set1_ps(bound);
+    std::uint64_t hits = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (((columns >> (8 * g)) & 0xFFu) == 0) continue;
+      hits |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                  _mm256_movemask_ps(_mm256_cmp_ps(v[g], vt, _CMP_LT_OQ))))
+              << (8 * g);
+    }
+    for (std::size_t b = 8 * groups; b < limit; ++b)
+      hits |= static_cast<std::uint64_t>(values[b] < bound) << b;
+    word |= hits & columns;
+  }
+  return word;
+}
+
+std::uint64_t compare_gt_float_word(const float* values, std::size_t limit,
+                                    float threshold) {
+  const __m256 vt = _mm256_set1_ps(threshold);
+  std::uint64_t word = 0;
+  std::size_t b = 0;
+  for (; b + 8 <= limit; b += 8) {
+    const auto bits = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(values + b), vt, _CMP_GT_OQ)));
+    word |= static_cast<std::uint64_t>(bits) << b;
+  }
+  for (; b < limit; ++b)
+    word |= static_cast<std::uint64_t>(values[b] > threshold) << b;
+  return word;
+}
+
 void offset_noise_mask(std::span<const float> offsets,
                        std::span<const double> noise, double noise_scale,
                        BitVec& mask) {
@@ -167,32 +208,6 @@ std::size_t lag8_full_words(const std::uint64_t* words, std::size_t count) {
     disagree += static_cast<std::size_t>(std::popcount(d & kSampleBits));
   }
   return disagree;
-}
-
-void column_counts_word(const std::uint64_t planes[6], std::uint8_t* out) {
-  // Byte replication control: lane 0 spreads chunk bytes 0/1 over byte
-  // positions 0-15, lane 1 spreads chunk bytes 2/3 (which set1_epi32 also
-  // placed at lane-local indices 2/3) over positions 16-31.
-  const __m256i sel = _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0,  //
-                                       1, 1, 1, 1, 1, 1, 1, 1,  //
-                                       2, 2, 2, 2, 2, 2, 2, 2,  //
-                                       3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bit_of_byte =
-      _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
-  for (int chunk = 0; chunk < 2; ++chunk) {
-    __m256i acc = _mm256_setzero_si256();
-    for (int p = 0; p < 6; ++p) {
-      const auto piece =
-          static_cast<std::uint32_t>(planes[p] >> (32 * chunk));
-      __m256i v = _mm256_set1_epi32(static_cast<int>(piece));
-      v = _mm256_shuffle_epi8(v, sel);
-      v = _mm256_and_si256(v, bit_of_byte);
-      v = _mm256_cmpeq_epi8(v, bit_of_byte);
-      v = _mm256_and_si256(v, _mm256_set1_epi8(static_cast<char>(1 << p)));
-      acc = _mm256_or_si256(acc, v);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 32 * chunk), acc);
-  }
 }
 
 void hashed_normal_fill(std::uint64_t prefix, std::span<float> out) {
@@ -393,7 +408,7 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
     bool any_tie = false;
     for (std::size_t j = 0; j < limit; ++j) {
       const double sum = sums[start + j];
-      if (std::abs(sum) < 1e-9) {
+      if (std::abs(sum) < 1e-9) {  // is_tie_sum, spelled out.
         flags[start + j] = kClassTie;
         pow_buf[j] = 0.0;
         any_tie = true;
@@ -424,81 +439,6 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
         if ((flags[start + t] & kClassTie) != 0) zg[start + t] = 0.0;
     }
   }
-}
-
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties) {
-  const std::size_t n = class_of.size();
-  const __m128 zero_ps = _mm_setzero_ps();
-  std::size_t n_ties = 0;
-  std::size_t c = 0;
-  std::size_t wi = 0;
-  for (; n - c >= kWordBits; ++wi, c += kWordBits) {
-    std::uint64_t resolved_word = 0;
-    std::uint64_t stable_word = 0;
-    std::uint64_t tie_word = 0;
-    for (int g4 = 0; g4 < 16; ++g4) {
-      const std::size_t base = c + 4 * static_cast<std::size_t>(g4);
-      const __m128i idx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(class_of.data() + base));
-      // Gathered class table: zg (double) and flags per column.
-      const __m256d zg4 = _mm256_i32gather_pd(zg.data(), idx, 8);
-      const __m128i fl4 = _mm_i32gather_epi32(flags.data(), idx, 4);
-      // Same compare as scalar: double zg against the float zeta widened
-      // to double.
-      const __m256d zeta4 =
-          _mm256_cvtps_pd(_mm_loadu_ps(zetas.data() + base));
-      const auto gt = static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_cmp_pd(zg4, zeta4, _CMP_GT_OQ)));
-      // Flag bits to lane masks: shift the wanted bit into the sign.
-      const auto tie = static_cast<unsigned>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_slli_epi32(fl4, 31))));
-      const auto maj = static_cast<unsigned>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_slli_epi32(fl4, 30))));
-      const auto pol = static_cast<unsigned>(_mm_movemask_ps(_mm_cmp_ps(
-          _mm_loadu_ps(polarities.data() + base), zero_ps, _CMP_GT_OQ)));
-      const unsigned resolved_bits =
-          ((maj & gt) | (pol & ~gt)) & ~tie & 0xFu;
-      const unsigned stable_bits = gt & ~tie & 0xFu;
-      const unsigned tie_bits = tie & 0xFu;
-      const int shift = 4 * g4;
-      resolved_word |= static_cast<std::uint64_t>(resolved_bits) << shift;
-      stable_word |= static_cast<std::uint64_t>(stable_bits) << shift;
-      tie_word |= static_cast<std::uint64_t>(tie_bits) << shift;
-    }
-    resolved.set_word(wi, resolved_word);
-    stable.set_word(wi, stable_word);
-    ties.set_word(wi, tie_word);
-    n_ties += static_cast<std::size_t>(std::popcount(tie_word));
-  }
-  if (c < n) {
-    // Boundary word: the exact scalar branch sequence.
-    std::uint64_t resolved_word = 0;
-    std::uint64_t stable_word = 0;
-    std::uint64_t tie_word = 0;
-    for (std::size_t b = 0; c < n; ++b, ++c) {
-      const auto cls = static_cast<std::size_t>(class_of[c]);
-      if ((flags[cls] & kClassTie) != 0) {
-        tie_word |= 1ULL << b;
-        ++n_ties;
-      } else if (zg[cls] > zetas[c]) {
-        resolved_word |=
-            static_cast<std::uint64_t>((flags[cls] & kClassMajorityOne) != 0)
-            << b;
-        stable_word |= 1ULL << b;
-      } else {
-        resolved_word |= static_cast<std::uint64_t>(polarities[c] > 0.0f) << b;
-      }
-    }
-    resolved.set_word(wi, resolved_word);
-    stable.set_word(wi, stable_word);
-    ties.set_word(wi, tie_word);
-  }
-  return n_ties;
 }
 
 void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out) {
@@ -552,14 +492,18 @@ void threshold_mask(std::span<const float>, float, BitVec&) { std::abort(); }
 std::uint64_t compare_lt_word(const double*, std::size_t, double) {
   std::abort();
 }
+std::uint64_t compare_lt_class_bounds(const float*, std::size_t,
+                                      const ClassBound*, std::size_t) {
+  std::abort();
+}
+std::uint64_t compare_gt_float_word(const float*, std::size_t, float) {
+  std::abort();
+}
 void offset_noise_mask(std::span<const float>, std::span<const double>,
                        double, BitVec&) {
   std::abort();
 }
 std::size_t lag8_full_words(const std::uint64_t*, std::size_t) {
-  std::abort();
-}
-void column_counts_word(const std::uint64_t[6], std::uint8_t*) {
   std::abort();
 }
 void hashed_normal_fill(std::uint64_t, std::span<float>) { std::abort(); }
@@ -569,13 +513,6 @@ void counter_normal_fill(std::uint64_t, std::uint64_t, std::span<double>) {
 }
 void margin_chain(std::span<const float>, const MarginChainParams&,
                   std::span<double>, std::span<std::int32_t>) {
-  std::abort();
-}
-std::size_t class_resolve(std::span<const std::int32_t>,
-                          std::span<const double>,
-                          std::span<const std::int32_t>,
-                          std::span<const float>, std::span<const float>,
-                          BitVec&, BitVec&, BitVec&) {
   std::abort();
 }
 

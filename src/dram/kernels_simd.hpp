@@ -35,6 +35,27 @@ void threshold_mask(std::span<const float> zetas, float z_eff, BitVec& mask);
 std::uint64_t compare_lt_word(const double* values, std::size_t limit,
                               double threshold);
 
+/// One class's columns in a 64-column word and the float bound its
+/// zetas compare against.
+struct ClassBound {
+  std::uint64_t columns;
+  float bound;
+};
+
+/// Bit b = values[b] < classes[i].bound for the entry i whose `columns`
+/// holds bit b (the entries' column sets are disjoint; b < limit <= 64).
+/// 8-column groups without one of an entry's columns are skipped. The
+/// zeta-vs-margin compare of resolve_word: every class of a word in one
+/// call, the word's values loaded once.
+std::uint64_t compare_lt_class_bounds(const float* values, std::size_t limit,
+                                      const ClassBound* classes,
+                                      std::size_t count);
+
+/// Bit b = values[b] > threshold, for b in [0, limit), limit <= 64: the
+/// polarity mask of resolve_word.
+std::uint64_t compare_gt_float_word(const float* values, std::size_t limit,
+                                    float threshold);
+
 /// Fills `mask` with offsets[c] + noise_scale * noise[c] > 0.
 void offset_noise_mask(std::span<const float> offsets,
                        std::span<const double> noise, double noise_scale,
@@ -44,10 +65,6 @@ void offset_noise_mask(std::span<const float> offsets,
 /// kSampleBits = 0x0001'0001'0001'0001 — the full-word body of
 /// lag8_disagreement (the boundary word stays with the caller).
 std::size_t lag8_full_words(const std::uint64_t* words, std::size_t count);
-
-/// Expands the six bit-planes of one 64-column word into 64 per-column
-/// counts: out[b] = sum_p ((planes[p] >> b) & 1) << p.
-void column_counts_word(const std::uint64_t planes[6], std::uint8_t* out);
 
 /// Vectorized body of kernels::hashed_normal_fill (4 lanes of splitmix64,
 /// uniform mapping, and the inverse-CDF central branch; tail-probability
@@ -68,15 +85,5 @@ void counter_normal_fill(std::uint64_t prefix, std::uint64_t base,
 /// class; the surrounding divide/subtract chain vectorizes).
 void margin_chain(std::span<const float> sums, const MarginChainParams& p,
                   std::span<double> zg, std::span<std::int32_t> flags);
-
-/// Vectorized body of kernels::class_resolve (gathered class table,
-/// double compare against the zeta deviates, word-packed masks). Returns
-/// the tie-column count.
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties);
 
 }  // namespace simra::dram::kernels::avx2

@@ -96,6 +96,26 @@ TEST(Rng, ChanceProbability) {
   EXPECT_NEAR(hits / 100000.0, 0.25, 0.01);
 }
 
+TEST(Rng, CoinFlipsReplayChanceHalf) {
+  // Each set bit of the mask takes one chance(0.5) draw, in ascending bit
+  // order; clear bits take none.
+  Rng positions_rng(37);
+  Rng flips(41);
+  Rng chances(41);
+  for (int word = 0; word < 200; ++word) {
+    std::uint64_t positions = positions_rng();
+    if (word % 7 == 0) positions = 0;
+    if (word % 11 == 0) positions = ~0ULL;
+    const std::uint64_t heads = flips.coin_flips(positions);
+    std::uint64_t want = 0;
+    for (int b = 0; b < 64; ++b)
+      if (((positions >> b) & 1) != 0 && chances.chance(0.5))
+        want |= 1ULL << b;
+    ASSERT_EQ(heads, want) << "word " << word;
+  }
+  EXPECT_EQ(flips(), chances());
+}
+
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(31);
   Rng child = parent.fork();

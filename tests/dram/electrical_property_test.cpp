@@ -43,7 +43,7 @@ class PropertyFixture {
     const ApaDecision apa =
         model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
     const ChargeShareResult r = model_.resolve_charge_share(
-        ctx, rows, pattern_noise, env, apa, rng);
+        ctx, rows, pattern_noise, env, apa, BitVec(columns), rng);
     return static_cast<double>(r.stable.popcount()) /
            static_cast<double>(columns);
   }

@@ -3,15 +3,112 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/normal.hpp"
 #include "common/rng.hpp"
 #include "dram/calibration.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace simra::dram {
 namespace {
+
+// Salts of the model's persistent variation fields (electrical.cpp): the
+// charge-share offset, group quality and polarity deviates, and the SA
+// latch race.
+constexpr std::uint64_t kSaltMajOffset = 0x10;
+constexpr std::uint64_t kSaltMajGroup = 0x11;
+constexpr std::uint64_t kSaltMajPolarity = 0x12;
+constexpr std::uint64_t kSaltLatchRace = 0x40;
+
+/// Bucket edges of the electrical/sense_margin histogram.
+constexpr std::array<double, 11> kMarginBounds = {-3,    -2,   -1, -0.5,
+                                                  -0.25, 0,    0.25, 0.5,
+                                                  1,     2,    3};
+
+struct ReferenceShare {
+  BitVec resolved;
+  BitVec stable;
+  std::size_t ties = 0;
+  std::array<std::uint64_t, kMarginBounds.size() + 1> margins{};
+};
+
+// Per-column reference of a charge-share resolve: every bitline resolves
+// from its float sum accumulated row by row, and tie bitlines draw a coin
+// flip in ascending column order. It resolves every bitline, decided or
+// not, and observes every bitline's margin; callers blend the decided
+// ones away.
+ReferenceShare reference_charge_share(const VendorProfile& profile,
+                                      const VariationField& variation,
+                                      const BitlineContext& ctx,
+                                      std::span<const ConnectedRow> rows,
+                                      double pattern_noise,
+                                      const EnvironmentState& env,
+                                      const ApaDecision& apa, Rng& rng) {
+  const auto& p = calib::kMajx;
+  const std::size_t columns = ctx.columns;
+  std::vector<float> zetas(columns);
+  std::vector<float> polarities(columns);
+  variation.normal_fill(kSaltMajOffset, ctx.bank, ctx.subarray, zetas);
+  variation.normal_fill(kSaltMajPolarity, ctx.bank, ctx.subarray,
+                        polarities);
+  const double n_connected = static_cast<double>(rows.size());
+  const double gain =
+      p.gain * (1.0 + p.temp_gain_slope * (env.temperature.value - 50.0)) *
+      (1.0 - p.vpp_gain_slope * (2.5 - env.vpp.value));
+  const double g = std::exp(
+      p.group_sigma *
+      variation.normal(kSaltMajGroup, ctx.bank, ctx.subarray, ctx.group_key));
+  const double noise_denominator = std::sqrt(1.0 + n_connected * p.cell_noise);
+  const double threshold = p.threshold + p.coupling * pattern_noise;
+  float total_weight = 0.0f;
+  for (const ConnectedRow& row : rows)
+    if (row.data != nullptr) total_weight += static_cast<float>(row.weight);
+
+  ReferenceShare ref{BitVec(columns), BitVec(columns)};
+  for (std::size_t c = 0; c < columns; ++c) {
+    float fsum = -total_weight;
+    for (const ConnectedRow& row : rows)
+      if (row.data != nullptr && row.data->get(c))
+        fsum += 2.0f * static_cast<float>(row.weight);
+    const double sum = fsum;
+    if (std::abs(sum) < 1e-9) {
+      ref.resolved.set(c, rng.chance(0.5));
+      ++ref.ties;
+      continue;
+    }
+    const double x =
+        gain * std::pow(std::abs(sum) / (p.cap_ratio + n_connected),
+                        p.margin_exponent);
+    const double zg = ((x - threshold) / noise_denominator -
+                       apa.majx_z_penalty + profile.maj_margin_shift) /
+                      g;
+    std::size_t bucket = 0;
+    while (bucket < kMarginBounds.size() && zg > kMarginBounds[bucket])
+      ++bucket;
+    ++ref.margins[bucket];
+    if (zg > zetas[c]) {
+      ref.resolved.set(c, sum > 0.0);
+      ref.stable.set(c, true);
+    } else {
+      ref.resolved.set(c, polarities[c] > 0.0f);
+    }
+  }
+  return ref;
+}
+
+/// Enables obs for one scope and restores the environment's choice.
+struct ScopedObs {
+  ScopedObs() { obs::set_enabled_for_test(true); }
+  ~ScopedObs() { obs::set_enabled_for_test(std::nullopt); }
+};
 
 class ElectricalTest : public ::testing::Test {
  protected:
@@ -86,7 +183,7 @@ TEST_F(ElectricalTest, UnanimousChargeShareIsStable) {
   const ApaDecision apa =
       model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
   const ChargeShareResult r = model_.resolve_charge_share(
-      ctx(), rows, 0.0, EnvironmentState{}, apa, rng_);
+      ctx(), rows, 0.0, EnvironmentState{}, apa, BitVec(columns), rng_);
   EXPECT_EQ(r.resolved.popcount(), columns);
   EXPECT_EQ(r.stable.popcount(), columns);
   EXPECT_EQ(r.ties, 0u);
@@ -102,12 +199,111 @@ TEST_F(ElectricalTest, TieResolvesMetastably) {
   const ApaDecision apa =
       model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
   const ChargeShareResult r = model_.resolve_charge_share(
-      ctx(), rows, 0.0, EnvironmentState{}, apa, rng_);
+      ctx(), rows, 0.0, EnvironmentState{}, apa, BitVec(columns), rng_);
   EXPECT_EQ(r.ties, columns);
   EXPECT_EQ(r.stable.popcount(), 0u);
   // Roughly half the metastable bitlines fall each way.
   EXPECT_NEAR(static_cast<double>(r.resolved.popcount()),
               columns / 2.0, columns * 0.05);
+}
+
+TEST_F(ElectricalTest, DecidedBitlinesKeepRngStreamAndMargins) {
+  // Skipping the decided (SA-latched) bitlines must not change what the
+  // bank sees: the source on decided bitlines and the per-column resolve
+  // elsewhere, the same tie count, the same Rng stream afterwards, and
+  // the same margin observations over every bitline.
+  enum class Shape { kAllEqual, kOneOdd, kThreeClasses };
+  constexpr std::size_t kColumns = 1000;  // boundary word of 40 columns.
+  const ScopedObs scoped_obs;
+  obs::Histogram& hist = obs::MetricsRegistry::instance().histogram(
+      "electrical/sense_margin",
+      std::vector<double>(kMarginBounds.begin(), kMarginBounds.end()));
+  const auto bucket_counts = [&] {
+    std::array<std::uint64_t, kMarginBounds.size() + 1> counts{};
+    for (std::size_t b = 0; b < counts.size(); ++b)
+      counts[b] = hist.bucket_count(b);
+    return counts;
+  };
+  BitlineContext c = ctx();
+  c.columns = kColumns;
+  EnvironmentState env;
+  env.temperature = Celsius{70.0};
+  env.vpp = Volts{2.3};
+  std::size_t case_index = 0;
+  for (const double latch : {0.0, 0.3, 0.995, 1.0}) {
+    for (const std::size_t k : {2u, 3u, 4u, 16u, 32u}) {
+      for (const Shape shape :
+           {Shape::kAllEqual, Shape::kOneOdd, Shape::kThreeClasses}) {
+        if (shape == Shape::kThreeClasses && k < 3) continue;
+        ++case_index;
+        SCOPED_TRACE(::testing::Message()
+                     << "latch=" << latch << " k=" << k
+                     << " shape=" << static_cast<int>(shape));
+        Rng data_rng(case_index);
+        std::vector<BitVec> data(k, BitVec(kColumns));
+        for (BitVec& row : data) row.randomize(data_rng);
+        std::vector<ConnectedRow> rows;
+        for (std::size_t i = 0; i < k; ++i) {
+          // Odd weights that are whole multiples of the common one keep
+          // exact ties in every shape.
+          double weight = 1.0;
+          if (shape == Shape::kOneOdd) weight = i == k / 3 ? 1.0 : 0.5;
+          if (shape == Shape::kThreeClasses)
+            weight = i == 0 ? 1.0 : (i == 1 ? 1.5 : 0.5);
+          rows.push_back({static_cast<RowAddr>(i), &data[i], weight});
+        }
+        // Odd k also carries a Frac row: capacitance without data.
+        if (k % 2 == 1) rows.push_back({static_cast<RowAddr>(k), nullptr, 1.0});
+
+        ApaDecision apa =
+            model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
+        apa.latch_fraction = latch;
+        apa.majx_z_penalty = 0.2;
+        const BitVec decided = latch > 0.0 ? model_.latched_mask(c, apa)
+                                           : BitVec(kColumns);
+        if (latch > 0.0 && latch < 1.0) {
+          ASSERT_GT(decided.popcount(), 0u);
+          ASSERT_LT(decided.popcount(), kColumns);
+        }
+        const double noise = ElectricalModel::estimate_pattern_noise(rows);
+        Rng got_rng(case_index + 100);
+        Rng want_rng(case_index + 100);
+        const auto before = bucket_counts();
+        const ChargeShareResult got = model_.resolve_charge_share(
+            c, rows, noise, env, apa, decided, got_rng);
+        const auto after = bucket_counts();
+        const ReferenceShare want = reference_charge_share(
+            profile_, variation_, c, rows, noise, env, apa, want_rng);
+        if (shape == Shape::kAllEqual && k % 2 == 0) {
+          ASSERT_GT(want.ties, 0u);
+        }
+
+        BitVec got_blend = got.resolved;
+        got_blend.assign_masked(data[0], decided);
+        BitVec want_blend = want.resolved;
+        want_blend.assign_masked(data[0], decided);
+        EXPECT_EQ(got_blend, want_blend);
+        EXPECT_EQ(got.stable & ~decided, want.stable & ~decided);
+        EXPECT_EQ(got.ties, want.ties);
+        for (int draw = 0; draw < 4; ++draw)
+          EXPECT_EQ(got_rng(), want_rng()) << "draw " << draw;
+        for (std::size_t b = 0; b < want.margins.size(); ++b)
+          EXPECT_EQ(after[b] - before[b], want.margins[b]) << "bucket " << b;
+      }
+    }
+  }
+}
+
+TEST_F(ElectricalTest, DecidedMaskMustCoverEveryColumn) {
+  const std::size_t columns = profile_.geometry.columns;
+  BitVec ones(columns, true);
+  const std::vector<ConnectedRow> rows{{0, &ones, 1.0}, {1, &ones, 1.0}};
+  const ApaDecision apa =
+      model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
+  EXPECT_THROW(model_.resolve_charge_share(ctx(), rows, 0.0,
+                                           EnvironmentState{}, apa,
+                                           BitVec(columns - 1), rng_),
+               std::invalid_argument);
 }
 
 TEST_F(ElectricalTest, PatternNoiseDistinguishesFixedFromRandom) {
@@ -133,7 +329,7 @@ TEST_F(ElectricalTest, FracRowsContributeOnlyCapacitance) {
   const ApaDecision apa =
       model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
   const ChargeShareResult r = model_.resolve_charge_share(
-      ctx(), rows, 0.0, EnvironmentState{}, apa, rng_);
+      ctx(), rows, 0.0, EnvironmentState{}, apa, BitVec(columns), rng_);
   EXPECT_EQ(r.ties, 0u);
   // m = 3 with N = 32: low margin -> partially stable, but stable bits
   // must all be the majority value (ones).
@@ -326,8 +522,10 @@ TEST_F(ElectricalTest, LatchedMaskMatchesScalarBitlineLatched) {
     touch_threshold_masks();
     const BitVec mask = model.latched_mask(ctx(), apa);
     ASSERT_EQ(mask.size(), profile_.geometry.columns);
-    for (std::size_t c = 0; c < 512; ++c)
-      ASSERT_EQ(mask.get(c), model.bitline_latched(ctx(), c, apa)) << c;
+    std::vector<float> race(profile_.geometry.columns);
+    variation_.normal_fill(kSaltLatchRace, ctx().bank, ctx().subarray, race);
+    for (std::size_t c = 0; c < race.size(); ++c)
+      ASSERT_EQ(mask.get(c), normal_cdf(race[c]) < apa.latch_fraction) << c;
     // Memoized: the repeat query returns the identical mask.
     touch_threshold_masks();
     EXPECT_EQ(model.latched_mask(ctx(), apa), mask);

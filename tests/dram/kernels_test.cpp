@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -105,7 +108,7 @@ TEST(KernelsTest, Lag8DisagreementMatchesScalar) {
 
 TEST(KernelsTest, ColumnPopcountsMatchesScalar) {
   for (std::size_t n : kSizes) {
-    for (std::size_t n_rows : {std::size_t{1}, std::size_t{5},
+    for (std::size_t n_rows : {std::size_t{0}, std::size_t{1}, std::size_t{5},
                                std::size_t{32}, std::size_t{63}}) {
       Rng rng(n + 7 * n_rows);
       std::vector<BitVec> rows(n_rows, BitVec(n));
@@ -114,13 +117,19 @@ TEST(KernelsTest, ColumnPopcountsMatchesScalar) {
       }
       std::vector<const BitVec*> ptrs;
       for (const auto& r : rows) ptrs.push_back(&r);
-      std::vector<std::uint8_t> counts(n);
-      kernels::column_popcounts(ptrs, counts);
-      for (std::size_t c = 0; c < n; ++c) {
-        std::uint8_t want = 0;
-        for (const auto& r : rows) want += r.get(c) ? 1 : 0;
-        ASSERT_EQ(counts[c], want) << "n=" << n << " rows=" << n_rows
-                                   << " c=" << c;
+      const auto width = static_cast<std::size_t>(std::bit_width(n_rows));
+      for (std::size_t wi = 0; wi * 64 < n; ++wi) {
+        std::vector<std::uint64_t> planes(width, ~0ULL);
+        kernels::column_popcounts(ptrs, wi, planes);
+        for (std::size_t c = wi * 64; c < std::min(n, wi * 64 + 64); ++c) {
+          std::size_t got = 0;
+          for (std::size_t p = 0; p < width; ++p)
+            got |= static_cast<std::size_t>((planes[p] >> (c % 64)) & 1) << p;
+          std::size_t want = 0;
+          for (const auto& r : rows) want += r.get(c) ? 1 : 0;
+          ASSERT_EQ(got, want) << "n=" << n << " rows=" << n_rows
+                               << " c=" << c;
+        }
       }
     }
   }
@@ -130,12 +139,14 @@ TEST(KernelsTest, ColumnPopcountsRejectsBadShapes) {
   std::vector<BitVec> rows(64, BitVec(8));
   std::vector<const BitVec*> ptrs;
   for (const auto& r : rows) ptrs.push_back(&r);
-  std::vector<std::uint8_t> counts(8);
-  EXPECT_THROW(kernels::column_popcounts(ptrs, counts),
+  std::vector<std::uint64_t> planes(7);
+  EXPECT_THROW(kernels::column_popcounts(ptrs, 0, planes),
                std::invalid_argument);  // > 63 rows.
-  ptrs.resize(3);
-  counts.resize(9);  // wider than the 8-bit rows.
-  EXPECT_THROW(kernels::column_popcounts(ptrs, counts),
+  ptrs.resize(4);
+  EXPECT_THROW(kernels::column_popcounts(ptrs, 1, planes),
+               std::invalid_argument);  // past the rows' last word.
+  planes.resize(2);  // 4 rows need bit_width(4) = 3 planes.
+  EXPECT_THROW(kernels::column_popcounts(ptrs, 0, planes),
                std::invalid_argument);
 }
 
@@ -296,97 +307,134 @@ TEST(KernelsTest, MarginChainRejectsSizeMismatch) {
       std::invalid_argument);
 }
 
-// Scalar class_resolve reference: the per-column branch of the original
-// resolve loop.
-std::size_t scalar_class_resolve(std::span<const std::int32_t> class_of,
-                                 std::span<const double> zg,
-                                 std::span<const std::int32_t> flags,
-                                 std::span<const float> zetas,
-                                 std::span<const float> polarities,
-                                 BitVec& resolved, BitVec& stable,
-                                 BitVec& ties) {
-  std::size_t n_ties = 0;
-  for (std::size_t c = 0; c < class_of.size(); ++c) {
-    const auto cls = static_cast<std::size_t>(class_of[c]);
-    if ((flags[cls] & kernels::kClassTie) != 0) {
-      ties.set(c, true);
-      ++n_ties;
-    } else if (zg[cls] > zetas[c]) {
-      resolved.set(c, (flags[cls] & kernels::kClassMajorityOne) != 0);
-      stable.set(c, true);
-    } else {
-      resolved.set(c, polarities[c] > 0.0f);
+// Scalar resolve_word reference: the per-column branch of the original
+// resolve loop, class index read bit by bit off the planes.
+kernels::WordVerdict scalar_resolve_word(const kernels::ClassPlanes& planes,
+                                         std::uint64_t undecided,
+                                         std::span<const double> zg,
+                                         std::span<const std::int32_t> flags,
+                                         std::span<const float> zetas,
+                                         std::span<const float> polarities) {
+  kernels::WordVerdict v;
+  for (std::size_t b = 0; b < zetas.size(); ++b) {
+    if (((undecided >> b) & 1) == 0) continue;
+    std::size_t cls = 0;
+    for (std::size_t j = 0; j < planes.count; ++j)
+      cls |= static_cast<std::size_t>((planes.planes[j] >> b) & 1) << j;
+    const std::uint64_t bit = 1ULL << b;
+    if ((flags[cls] & kernels::kClassPending) != 0) {
+      v.pending |= bit;
+    } else if (zg[cls] > zetas[b]) {
+      if ((flags[cls] & kernels::kClassMajorityOne) != 0) v.resolved |= bit;
+      v.stable |= bit;
+    } else if (polarities[b] > 0.0f) {
+      v.resolved |= bit;
     }
   }
-  return n_ties;
+  return v;
 }
 
-struct ClassResolveCase {
-  std::vector<std::int32_t> class_of;
+struct ResolveWordCase {
+  kernels::ClassPlanes planes;
+  std::uint64_t undecided = 0;
   std::vector<double> zg;
   std::vector<std::int32_t> flags;
   std::vector<float> zetas;
   std::vector<float> polarities;
 };
 
-ClassResolveCase make_class_resolve_case(std::size_t n, std::uint64_t seed) {
-  ClassResolveCase cs;
+/// A random word of `n` columns over 2^plane_count classes, every fifth
+/// class pending. `decided` selects the columns taken out of `undecided`:
+/// 0 = none, 1 = all, 2 = a random half.
+ResolveWordCase make_resolve_word_case(std::size_t n, std::size_t plane_count,
+                                       int decided, std::uint64_t seed) {
+  ResolveWordCase cs;
   Rng rng(seed);
-  constexpr std::size_t kClasses = 12;
-  cs.zg.resize(kClasses);
-  cs.flags.resize(kClasses);
-  for (std::size_t i = 0; i < kClasses; ++i) {
-    if (i % 5 == 3) {
-      cs.flags[i] = kernels::kClassTie;
-      cs.zg[i] = 0.0;
-    } else {
-      cs.flags[i] = rng.chance(0.5) ? kernels::kClassMajorityOne : 0;
-      cs.zg[i] = rng.normal();
-    }
+  cs.planes.count = plane_count;
+  for (std::size_t j = 0; j < plane_count; ++j) cs.planes.planes[j] = rng();
+  const std::size_t classes = std::size_t{1} << plane_count;
+  cs.zg.resize(classes);
+  cs.flags.resize(classes);
+  for (std::size_t i = 0; i < classes; ++i) {
+    cs.flags[i] = rng.chance(0.5) ? kernels::kClassMajorityOne : 0;
+    if (i % 5 == 3) cs.flags[i] = kernels::kClassPending;
+    cs.zg[i] = rng.normal();
+    // Some margins sit exactly on a float: zeta == zg must not count.
+    if (i % 4 == 1) cs.zg[i] = static_cast<float>(cs.zg[i]);
   }
-  cs.class_of.resize(n);
   cs.zetas.resize(n);
   cs.polarities.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    cs.class_of[c] = static_cast<std::int32_t>(rng.below(kClasses));
-    cs.zetas[c] = static_cast<float>(rng.normal());
-    cs.polarities[c] = static_cast<float>(rng.normal());
+  for (std::size_t b = 0; b < n; ++b) {
+    cs.zetas[b] = static_cast<float>(rng.normal());
+    cs.polarities[b] = static_cast<float>(rng.normal());
+    if (b % 3 == 0) {
+      // Zetas at the float nearest the column's margin and one ulp either
+      // side: the compare must stay the double one of the scalar loop.
+      const float near = static_cast<float>(cs.zg[cs.planes.index(b)]);
+      const float sides[] = {
+          near, std::nextafter(near, -std::numeric_limits<float>::infinity()),
+          std::nextafter(near, std::numeric_limits<float>::infinity())};
+      cs.zetas[b] = sides[(b / 3) % 3];
+    }
+    if (b % 7 == 0) cs.polarities[b] = 0.0f;  // not > 0.
   }
+  const std::uint64_t valid = n == 64 ? ~0ULL : (1ULL << n) - 1;
+  const std::uint64_t decided_bits =
+      decided == 0 ? 0 : (decided == 1 ? ~0ULL : rng());
+  cs.undecided = valid & ~decided_bits;
   return cs;
 }
 
-TEST(KernelsTest, ClassResolveMatchesScalar) {
-  for (std::size_t n : kSizes) {
-    const ClassResolveCase cs = make_class_resolve_case(n, n + 41);
-    BitVec resolved(n), stable(n), ties(n);
-    const std::size_t n_ties =
-        kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                               cs.polarities, resolved, stable, ties);
-    BitVec want_resolved(n), want_stable(n), want_ties(n);
-    const std::size_t want_n_ties =
-        scalar_class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                             cs.polarities, want_resolved, want_stable,
-                             want_ties);
-    EXPECT_EQ(n_ties, want_n_ties) << "n=" << n;
-    EXPECT_EQ(resolved.words(), want_resolved.words()) << "n=" << n;
-    EXPECT_EQ(stable.words(), want_stable.words()) << "n=" << n;
-    EXPECT_EQ(ties.words(), want_ties.words()) << "n=" << n;
+/// Word widths: empty, 1-3 columns (no whole 4-column group), a boundary
+/// word that is not a multiple of 4, and a full word.
+constexpr std::size_t kWordWidths[] = {0, 1, 3, 37, 64};
+
+TEST(KernelsTest, ResolveWordMatchesScalar) {
+  for (std::size_t n : kWordWidths) {
+    for (std::size_t plane_count : {std::size_t{0}, std::size_t{3},
+                                    kernels::ClassPlanes::kMaxPlanes}) {
+      for (int decided : {0, 1, 2}) {
+        const ResolveWordCase cs = make_resolve_word_case(
+            n, plane_count, decided, n * 37 + plane_count * 3 + decided);
+        const kernels::WordVerdict got = kernels::resolve_word(
+            cs.planes, cs.undecided, cs.zg, cs.flags, cs.zetas,
+            cs.polarities);
+        const kernels::WordVerdict want = scalar_resolve_word(
+            cs.planes, cs.undecided, cs.zg, cs.flags, cs.zetas,
+            cs.polarities);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " planes="
+                                          << plane_count
+                                          << " decided=" << decided);
+        EXPECT_EQ(got.resolved, want.resolved);
+        EXPECT_EQ(got.stable, want.stable);
+        EXPECT_EQ(got.pending, want.pending);
+        if (decided == 1) {
+          EXPECT_EQ(got.resolved | got.stable | got.pending, 0u);
+        }
+      }
+    }
   }
 }
 
-TEST(KernelsTest, ClassResolveRejectsShortSpans) {
-  const ClassResolveCase cs = make_class_resolve_case(64, 1);
-  BitVec resolved(64), stable(64), ties(64);
-  const std::vector<float> short_zetas(63);
-  EXPECT_THROW(
-      kernels::class_resolve(cs.class_of, cs.zg, cs.flags, short_zetas,
-                             cs.polarities, resolved, stable, ties),
-      std::invalid_argument);
+TEST(KernelsTest, ResolveWordRejectsBadShapes) {
+  const ResolveWordCase cs = make_resolve_word_case(64, 3, 0, 1);
   const std::vector<float> short_pols(63);
-  EXPECT_THROW(
-      kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                             short_pols, resolved, stable, ties),
-      std::invalid_argument);
+  EXPECT_THROW(kernels::resolve_word(cs.planes, cs.undecided, cs.zg,
+                                     cs.flags, cs.zetas, short_pols),
+               std::invalid_argument);
+  const std::vector<float> wide(65);
+  EXPECT_THROW(kernels::resolve_word(cs.planes, cs.undecided, cs.zg,
+                                     cs.flags, wide, wide),
+               std::invalid_argument);
+  const std::span<const float> first_8 = std::span(cs.zetas).first(8);
+  EXPECT_THROW(kernels::resolve_word(cs.planes, 1ULL << 8, cs.zg, cs.flags,
+                                     first_8, first_8),
+               std::invalid_argument);  // undecided past the columns.
+  const std::vector<double> small_zg(7);
+  const std::vector<std::int32_t> small_flags(7);
+  EXPECT_THROW(kernels::resolve_word(cs.planes, cs.undecided, small_zg,
+                                     small_flags, cs.zetas, cs.polarities),
+               std::invalid_argument);  // 3 planes index 8 classes.
 }
 
 // The batched deviate fill must replay the scalar per-cell hash chain.
@@ -472,21 +520,27 @@ TEST_F(SimdTierEquivalence, Lag8AndPopcountsBitIdentical) {
     std::vector<const BitVec*> ptrs;
     for (const auto& r : rows) ptrs.push_back(&r);
 
+    // Four planes hold counts up to 9 rows.
+    const std::size_t n_words = (n + 63) / 64;
     std::size_t total_scalar = 0, disagree_scalar = 0;
-    std::vector<std::uint8_t> counts_scalar(n);
+    std::vector<std::uint64_t> planes_scalar(4 * n_words);
     {
       ScopedSimd scoped(kernels::SimdTier::scalar);
       disagree_scalar = kernels::lag8_disagreement(v, total_scalar);
-      kernels::column_popcounts(ptrs, counts_scalar);
+      for (std::size_t wi = 0; wi < n_words; ++wi)
+        kernels::column_popcounts(
+            ptrs, wi, std::span(planes_scalar).subspan(4 * wi, 4));
     }
     ScopedSimd scoped(kernels::SimdTier::avx2);
     std::size_t total = 0;
     EXPECT_EQ(kernels::lag8_disagreement(v, total), disagree_scalar)
         << "n=" << n;
     EXPECT_EQ(total, total_scalar) << "n=" << n;
-    std::vector<std::uint8_t> counts(n);
-    kernels::column_popcounts(ptrs, counts);
-    EXPECT_EQ(counts, counts_scalar) << "n=" << n;
+    std::vector<std::uint64_t> planes(4 * n_words);
+    for (std::size_t wi = 0; wi < n_words; ++wi)
+      kernels::column_popcounts(ptrs, wi,
+                                std::span(planes).subspan(4 * wi, 4));
+    EXPECT_EQ(planes, planes_scalar) << "n=" << n;
   }
 }
 
@@ -576,26 +630,31 @@ TEST_F(SimdTierEquivalence, MarginChainBitIdentical) {
   }
 }
 
-TEST_F(SimdTierEquivalence, ClassResolveBitIdentical) {
-  for (std::size_t n : kSizes) {
-    const ClassResolveCase cs = make_class_resolve_case(n, n + 61);
-    BitVec r_scalar(n), s_scalar(n), t_scalar(n);
-    std::size_t ties_scalar = 0;
-    {
-      ScopedSimd scoped(kernels::SimdTier::scalar);
-      ties_scalar =
-          kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                                 cs.polarities, r_scalar, s_scalar, t_scalar);
+TEST_F(SimdTierEquivalence, ResolveWordBitIdentical) {
+  for (std::size_t n : kWordWidths) {
+    for (std::size_t plane_count : {std::size_t{0}, std::size_t{3},
+                                    kernels::ClassPlanes::kMaxPlanes}) {
+      for (int decided : {0, 1, 2}) {
+        const ResolveWordCase cs = make_resolve_word_case(
+            n, plane_count, decided, n * 41 + plane_count * 5 + decided);
+        kernels::WordVerdict scalar;
+        {
+          ScopedSimd scoped(kernels::SimdTier::scalar);
+          scalar = kernels::resolve_word(cs.planes, cs.undecided, cs.zg,
+                                         cs.flags, cs.zetas, cs.polarities);
+        }
+        ScopedSimd scoped(kernels::SimdTier::avx2);
+        const kernels::WordVerdict avx2 = kernels::resolve_word(
+            cs.planes, cs.undecided, cs.zg, cs.flags, cs.zetas,
+            cs.polarities);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " planes="
+                                          << plane_count
+                                          << " decided=" << decided);
+        EXPECT_EQ(avx2.resolved, scalar.resolved);
+        EXPECT_EQ(avx2.stable, scalar.stable);
+        EXPECT_EQ(avx2.pending, scalar.pending);
+      }
     }
-    ScopedSimd scoped(kernels::SimdTier::avx2);
-    BitVec resolved(n), stable(n), ties(n);
-    EXPECT_EQ(kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                                     cs.polarities, resolved, stable, ties),
-              ties_scalar)
-        << "n=" << n;
-    EXPECT_EQ(resolved.words(), r_scalar.words()) << "n=" << n;
-    EXPECT_EQ(stable.words(), s_scalar.words()) << "n=" << n;
-    EXPECT_EQ(ties.words(), t_scalar.words()) << "n=" << n;
   }
 }
 
