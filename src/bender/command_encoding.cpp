@@ -101,26 +101,4 @@ CommandEncoder::Decoded CommandEncoder::decode(const PinState& pins) {
   return out;
 }
 
-std::string CommandEncoder::kind_name(Decoded::Kind kind) {
-  switch (kind) {
-    case Decoded::Kind::kDeselect:
-      return "DES";
-    case Decoded::Kind::kActivate:
-      return "ACT";
-    case Decoded::Kind::kPrecharge:
-      return "PRE";
-    case Decoded::Kind::kPrechargeAll:
-      return "PREA";
-    case Decoded::Kind::kRead:
-      return "RD";
-    case Decoded::Kind::kWrite:
-      return "WR";
-    case Decoded::Kind::kRefresh:
-      return "REF";
-    case Decoded::Kind::kUnknown:
-      return "?";
-  }
-  return "?";
-}
-
 }  // namespace simra::bender

@@ -63,8 +63,6 @@ class CommandEncoder {
   /// Flat bank id <-> (bank group, bank address) split used on the bus.
   static std::uint8_t bank_group_of(dram::BankId bank) { return bank >> 2; }
   static std::uint8_t bank_address_of(dram::BankId bank) { return bank & 3; }
-
-  static std::string kind_name(Decoded::Kind kind);
 };
 
 }  // namespace simra::bender

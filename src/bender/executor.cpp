@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "verify/analyzer.hpp"
-#include "verify/lint.hpp"
 
 namespace simra::bender {
 
@@ -275,24 +274,27 @@ verify::ProgramContext Executor::program_context() {
   return ctx;
 }
 
-ExecutionResult Executor::run(const Program& program) {
+ExecutionResult Executor::run(const Program& program,
+                              const verify::ReliabilityPolicy* policy) {
   // Static analysis happens before any command reaches the (possibly
   // faulty) transport: the gate checks what the program *intends* to
   // issue, not what a bit-flip turns it into.
   verify::gate(program, chip_->profile().timings);
   last_opt_ = verify::OptStats{};
+  last_lint_ = verify::LintResult{};
   const Program* to_run = &program;
   std::optional<Program> optimized;
   const verify::OptMode opt = verify::global_opt_mode();
   if (opt != verify::OptMode::kOff && !program.empty()) {
     const verify::ProgramContext ctx = program_context();
-    verify::lint(program, ctx);
+    const verify::DataflowResult df = verify::dataflow(program, ctx);
+    last_lint_ = verify::lint(program, ctx, df, policy);
     // Transformation only where it is provably invisible: dead-command
     // elimination changes the chip's per-command RNG/fault draw sequence,
     // so any attached injector (transport or chip level) disables it.
     if (opt == verify::OptMode::kOn && faults_ == nullptr &&
         chip_->faults() == nullptr) {
-      verify::Optimized result = verify::optimize(program, ctx);
+      verify::Optimized result = verify::optimize(program, ctx, df);
       last_opt_ = result.stats;
       if (result.stats.removed_commands > 0 ||
           (result.stats.compacted &&

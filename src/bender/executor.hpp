@@ -9,6 +9,7 @@
 #include "dram/chip.hpp"
 #include "dram/power_model.hpp"
 #include "verify/dataflow.hpp"
+#include "verify/lint.hpp"
 #include "verify/optimizer.hpp"
 
 namespace simra::fault {
@@ -43,7 +44,12 @@ class Executor {
  public:
   explicit Executor(dram::Chip* chip);
 
-  ExecutionResult run(const Program& program);
+  /// Gates the program (SIMRA_VERIFY); unless SIMRA_OPT is off, runs the
+  /// dataflow pass once for lint() and, under `on` on a fault-free chip,
+  /// the optimizer. A non-null `policy` joins lint's reliability
+  /// cross-check (see last_lint()). Then replays the program on the chip.
+  ExecutionResult run(const Program& program,
+                      const verify::ReliabilityPolicy* policy = nullptr);
 
   /// Inserts an idle gap (e.g. "wait out tRP before the next test").
   void idle(Nanoseconds gap);
@@ -71,6 +77,10 @@ class Executor {
     return last_opt_;
   }
 
+  /// The reliability cross-check of the most recent run(): empty when it
+  /// ran without a policy or SIMRA_OPT was off.
+  const verify::LintResult& last_lint() const noexcept { return last_lint_; }
+
  private:
   void execute_one(const TimedCommand& cmd, double t,
                    ExecutionResult& result);
@@ -82,6 +92,7 @@ class Executor {
   fault::ChipInjector* faults_ = nullptr;
   std::optional<verify::RuleTable> rule_table_;  ///< lazy, per-chip.
   verify::OptStats last_opt_;
+  verify::LintResult last_lint_;
 };
 
 }  // namespace simra::bender

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
-#include "verify/dataflow.hpp"
 #include "verify/lint.hpp"
 #include "verify/occupancy.hpp"
 #include "verify/optimizer.hpp"
@@ -21,6 +20,33 @@ namespace {
 std::uint64_t shard_chip_seed(std::uint64_t service_seed,
                               std::uint32_t index) {
   return hash_combine(service_seed, index);
+}
+
+/// Counts the fused batch's reliability cross-check (run by the
+/// executor's lint) and attributes each finding to the request, and
+/// tenant, whose command range covers it.
+void account_reliability(const verify::LintResult& lint,
+                         const std::vector<verify::RequestSlice>& slices,
+                         obs::TaskBuffer* buffer) {
+  if (lint.apas == 0) return;
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.counter("serve.batch.reliability_checks").add_count(lint.apas);
+  if (lint.unreliable.empty()) return;
+  registry.counter("serve.batch.reliability_findings")
+      .add_count(lint.unreliable.size());
+  if (buffer == nullptr) return;
+  for (const verify::Finding& finding : lint.unreliable) {
+    const verify::RequestSlice* slice =
+        verify::slice_for_command(slices, finding.command_index);
+    if (slice == nullptr) continue;
+    buffer->add_event(
+        "serve.lint.request",
+        {{"request", std::to_string(slice->request_id)},
+         {"tenant", std::to_string(slice->tenant)},
+         {"command_index", std::to_string(finding.command_index)},
+         {"slot", std::to_string(finding.slot)},
+         {"message", finding.message()}});
+  }
 }
 
 }  // namespace
@@ -54,16 +80,12 @@ const pud::RowGroup& Shard::group_for(dram::BankId bank, dram::SubarrayId sa) {
   if (config_.steer && candidates.size() > 1 && config_.group_size >= 3)
     pick = reliability_.best_group(bank, sa, candidates, 3,
                                    config_.steer_trials);
-  return groups_.emplace(key, candidates[pick]).first->second;
-}
-
-verify::ReliabilityPolicy Shard::reliability_policy() const {
-  verify::ReliabilityPolicy policy;
-  for (const auto& [key, group] : groups_)
-    pud::ReliabilityMap::approve_group(policy, chip_.layout(),
-                                       chip_.profile().scrambler, key.first,
-                                       key.second, group);
-  return policy;
+  const pud::RowGroup& group =
+      groups_.emplace(key, candidates[pick]).first->second;
+  pud::ReliabilityMap::approve_group(policy_, chip_.layout(),
+                                     chip_.profile().scrambler, bank, sa,
+                                     group);
+  return group;
 }
 
 std::vector<CompiledRequest> Shard::compile_batch(
@@ -226,46 +248,6 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
          {"table", std::move(table)}});
   }
 
-  // Cross-check the fused batch's many-row activations against the
-  // groups this shard actually profiled (§8.1 steering): any APA outside
-  // a recorded set is an unprofiled excursion. Runs once per batch, on
-  // the fused program, so the reference (unbatched) path stays pristine.
-  if (verify::global_opt_mode() != verify::OptMode::kOff) {
-    const verify::ProgramContext ctx = engine_.executor().program_context();
-    verify::DataflowResult df = verify::dataflow(fused, ctx);
-    if (!df.apas.empty()) {
-      const verify::ReliabilityPolicy policy = reliability_policy();
-      std::vector<verify::Finding> findings =
-          verify::lint_reliability(df.apas, policy, fused.intents());
-      obs::MetricsRegistry::instance()
-          .counter("serve.batch.reliability_checks")
-          .add_count(df.apas.size());
-      if (!findings.empty()) {
-        obs::MetricsRegistry::instance()
-            .counter("serve.batch.reliability_findings")
-            .add_count(findings.size());
-        verify::report_lint_findings(label, findings);
-        // Attribute each finding to the request (and tenant) whose
-        // command range covers it, so a reliability excursion inside a
-        // fused batch names the request that caused it.
-        if (outcome.buffer) {
-          for (const verify::Finding& finding : findings) {
-            const verify::RequestSlice* slice =
-                verify::slice_for_command(slices, finding.command_index);
-            if (slice == nullptr) continue;
-            outcome.buffer->add_event(
-                "serve.lint.request",
-                {{"request", std::to_string(slice->request_id)},
-                 {"tenant", std::to_string(slice->tenant)},
-                 {"command_index", std::to_string(finding.command_index)},
-                 {"slot", std::to_string(finding.slot)},
-                 {"message", finding.message()}});
-          }
-        }
-      }
-    }
-  }
-
   const unsigned max_attempts = res.spec.retry_max + 1;
   const bool use_faults = res.spec.injects();
   for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
@@ -295,7 +277,10 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
         chip_.install_faults(&*injector);
         engine_.executor().install_faults(&*injector);
       }
-      auto result = engine_.executor().run(fused);
+      // Lint checks the batch's APAs against the profiled groups (§8.1).
+      // Only the fused run carries the policy: profiling trials and the
+      // unbatched reference path stay unchecked.
+      auto result = engine_.executor().run(fused, &policy_);
       std::vector<BitVec> reads = std::move(result.reads);
       // Extents are batch-relative; shift to the shard's virtual clock.
       std::vector<FusedExtent> absolute(extents);
@@ -315,6 +300,10 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
       engine_.executor().install_faults(nullptr);
     }
     if (ok) {
+      // Every attempt that reaches the executor lints; the shard counts
+      // and attributes the check of the attempt it delivers.
+      account_reliability(engine_.executor().last_lint(), slices,
+                          outcome.buffer.get());
       outcome.succeeded = true;
       break;
     }
@@ -348,8 +337,7 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
 }
 
 BatchOutcome Shard::execute_unbatched(std::span<const BatchItem> batch,
-                                      std::uint64_t batch_seq,
-                                      const charz::detail::Resilience& res) {
+                                      std::uint64_t batch_seq) {
   BatchOutcome outcome;
   outcome.start_clock_ns = clock_ns();
   if (obs::enabled())
@@ -367,7 +355,6 @@ BatchOutcome Shard::execute_unbatched(std::span<const BatchItem> batch,
   }
   // No resilience loop here: the reference path exists to pin what the
   // serial engine produces, so injected faults simply propagate.
-  (void)res;
   std::vector<BitVec> reads;
   std::vector<FusedExtent> extents(compiled.size());
   for (std::size_t k = 0; k < compiled.size(); ++k) {

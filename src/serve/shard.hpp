@@ -102,13 +102,19 @@ class Shard {
 
   /// Every activation group this shard has profiled so far, recorded as
   /// the internal driven row sets the dataflow pass reports (see
-  /// pud::ReliabilityMap::approve_group). Under SIMRA_OPT=lint/on each
-  /// fused batch is cross-checked against this policy, so any many-row
-  /// activation outside a steered group surfaces as kUnreliableGroup.
-  verify::ReliabilityPolicy reliability_policy() const;
+  /// pud::ReliabilityMap::approve_group). execute() hands this policy to
+  /// the executor, whose lint (SIMRA_OPT=lint/on) cross-checks each fused
+  /// batch against it, so any many-row activation outside a steered
+  /// group surfaces as kUnreliableGroup.
+  const verify::ReliabilityPolicy& reliability_policy() const noexcept {
+    return policy_;
+  }
 
   /// Executes one fused batch under the resilience policy. Never throws:
   /// injected crashes and exhausted retries surface as a failed outcome.
+  /// The delivered attempt's reliability check feeds the
+  /// `serve.batch.reliability_*` counters and, when traced, one
+  /// `serve.lint.request` event per finding.
   BatchOutcome execute(std::span<const BatchItem> batch,
                        std::uint64_t batch_seq,
                        const charz::detail::Resilience& res);
@@ -117,8 +123,7 @@ class Shard {
   /// requests compiled identically but executed one program at a time,
   /// unfused, as the serial engine would. Same response surface.
   BatchOutcome execute_unbatched(std::span<const BatchItem> batch,
-                                 std::uint64_t batch_seq,
-                                 const charz::detail::Resilience& res);
+                                 std::uint64_t batch_seq);
 
  private:
   std::vector<CompiledRequest> compile_batch(std::span<const BatchItem> batch,
@@ -137,6 +142,7 @@ class Shard {
   Rng steer_rng_;
   pud::ReliabilityMap reliability_;
   std::map<std::pair<dram::BankId, dram::SubarrayId>, pud::RowGroup> groups_;
+  verify::ReliabilityPolicy policy_;  ///< groups_, as approved row sets.
   bool quarantined_ = false;
   std::string reason_;
 };

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace simra::verify {
 
@@ -51,17 +49,6 @@ inline constexpr const char* check_name(CheckId id) {
       return "unreliable-group";
   }
   return "?";
-}
-
-/// Inverse of check_name (exact match); the EXPECT-style intent surface.
-inline std::optional<CheckId> check_from_name(std::string_view name) {
-  for (CheckId id :
-       {CheckId::kReadUninitialized, CheckId::kUnderReplicatedApa,
-        CheckId::kApaUninitializedRow, CheckId::kDeadStore,
-        CheckId::kRedundantReopen, CheckId::kUnreliableGroup}) {
-    if (name == check_name(id)) return id;
-  }
-  return std::nullopt;
 }
 
 }  // namespace simra::verify

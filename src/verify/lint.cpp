@@ -12,14 +12,19 @@
 
 namespace simra::verify {
 
-void report_lint_findings(const std::string& program_name,
-                          const std::vector<Finding>& findings) {
+namespace {
+
+void report_findings(const std::string& program_name,
+                     const std::vector<Finding>& findings) {
   std::size_t unexpected = 0;
+  std::string body;
   for (const Finding& f : findings) {
     if (f.classification != Classification::kUnexpected) continue;
     ++unexpected;
+    std::string message = f.message();
+    body += "\n  " + message;
     obs::emit_event("lint.finding", {{"program", program_name},
-                                     {"message", f.message()}});
+                                     {"message", std::move(message)}});
   }
   if (unexpected == 0) return;
   obs::MetricsRegistry::instance()
@@ -30,11 +35,7 @@ void report_lint_findings(const std::string& program_name,
   std::ostringstream out;
   out << "lint: program '"
       << (program_name.empty() ? "<unnamed>" : program_name) << "': "
-      << unexpected << " finding" << (unexpected == 1 ? "" : "s");
-  for (const Finding& f : findings) {
-    if (f.classification == Classification::kUnexpected)
-      out << "\n  " << f.message();
-  }
+      << unexpected << " finding" << (unexpected == 1 ? "" : "s") << body;
   static std::mutex mutex;
   static std::unordered_set<std::string> seen;
   const std::string rendered = out.str();
@@ -44,25 +45,38 @@ void report_lint_findings(const std::string& program_name,
   }
 }
 
-void lint(const bender::Program& program, const ProgramContext& ctx,
-          const ReliabilityPolicy* policy) {
+}  // namespace
+
+LintResult lint(const bender::Program& program, const ProgramContext& ctx,
+                const DataflowResult& df, const ReliabilityPolicy* policy) {
   obs::MetricsRegistry::instance()
       .counter("verify.lint.programs")
       .add_count(1);
-  DataflowResult df = dataflow(program, ctx);
+  LintResult result;
   if (policy != nullptr) {
-    std::vector<Finding> reliability =
+    result.apas = df.apas.size();
+    result.unreliable =
         lint_reliability(df.apas, *policy, program.intents());
-    df.findings.insert(df.findings.end(),
-                       std::make_move_iterator(reliability.begin()),
-                       std::make_move_iterator(reliability.end()));
-    detail::rank_findings(df.findings);
   }
-  report_lint_findings(program.name(), df.findings);
+  if (result.unreliable.empty()) {
+    report_findings(program.name(), df.findings);
+  } else {
+    std::vector<Finding> findings = df.findings;
+    findings.insert(findings.end(), result.unreliable.begin(),
+                    result.unreliable.end());
+    detail::rank_findings(findings);
+    report_findings(program.name(), findings);
+  }
 
   OccupancyStats occ = occupancy(program, *ctx.table);
   occ.critical_path_slots = compacted_extent_slots(program, *ctx.table);
   export_occupancy_metrics(occ, program.name());
+  return result;
+}
+
+LintResult lint(const bender::Program& program, const ProgramContext& ctx,
+                const ReliabilityPolicy* policy) {
+  return lint(program, ctx, dataflow(program, ctx), policy);
 }
 
 }  // namespace simra::verify

@@ -6,22 +6,30 @@
 
 namespace simra::verify {
 
-/// The executor-side whole-program lint (SIMRA_OPT=lint|on): runs the
-/// dataflow/lifetime pass and the bus-occupancy accounting over one
-/// program, publishes occupancy into simra::obs, and reports unexpected
-/// findings to stderr (deduplicated, like the warn gate). Unlike the
-/// SIMRA_VERIFY gate this never throws — program-check findings are
-/// advisory; strictness stays the timing gate's job.
+/// What lint() hands back beyond its report: the reliability
+/// cross-check's input size and verdicts. Both stay empty without a
+/// policy.
+struct LintResult {
+  std::size_t apas = 0;  ///< APA events checked against the policy.
+  std::vector<Finding> unreliable;  ///< lint_reliability's findings.
+};
+
+/// The executor-side whole-program lint (SIMRA_OPT=lint|on) over one
+/// program and its dataflow result: publishes bus occupancy into
+/// simra::obs and reports unexpected findings — one `lint.finding` event
+/// each, plus each distinct rendered report once per process on stderr.
+/// Unlike the SIMRA_VERIFY gate this never throws — program-check
+/// findings are advisory; strictness stays the timing gate's job.
 ///
 /// When `policy` is non-null, every simultaneous-activation event is also
-/// cross-checked against it (lint_reliability).
-void lint(const bender::Program& program, const ProgramContext& ctx,
-          const ReliabilityPolicy* policy = nullptr);
+/// cross-checked against it (lint_reliability); its findings join the
+/// same report and are returned to the caller.
+LintResult lint(const bender::Program& program, const ProgramContext& ctx,
+                const DataflowResult& df,
+                const ReliabilityPolicy* policy = nullptr);
 
-/// Warn-style reporting shared by lint() and the serve-layer reliability
-/// check: emits a `lint.finding` obs event per unexpected finding and
-/// prints each distinct rendered report once per process.
-void report_lint_findings(const std::string& program_name,
-                          const std::vector<Finding>& findings);
+/// As above, running the dataflow pass itself.
+LintResult lint(const bender::Program& program, const ProgramContext& ctx,
+                const ReliabilityPolicy* policy = nullptr);
 
 }  // namespace simra::verify

@@ -253,9 +253,8 @@ std::uint64_t compacted_extent_slots(const bender::Program& program,
   return compact(program, table).stats.extent_after;
 }
 
-Optimized optimize(const bender::Program& program,
-                   const ProgramContext& ctx) {
-  const DataflowResult df = dataflow(program, ctx);
+Optimized optimize(const bender::Program& program, const ProgramContext& ctx,
+                   const DataflowResult& df) {
   std::set<std::size_t> removed(df.dead_stores.begin(),
                                 df.dead_stores.end());
   for (const auto& [pre, act] : df.redundant_reopens) {
@@ -272,6 +271,11 @@ Optimized optimize(const bender::Program& program,
                                    program.extent_slots(), *ctx.table);
   out.stats.removed_commands = removed.size();
   return out;
+}
+
+Optimized optimize(const bender::Program& program,
+                   const ProgramContext& ctx) {
+  return optimize(program, ctx, dataflow(program, ctx));
 }
 
 OptMode parse_opt_mode(std::string_view text) {

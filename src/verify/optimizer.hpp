@@ -66,11 +66,15 @@ Optimized compact(const bender::Program& program, const RuleTable& table);
 std::uint64_t compacted_extent_slots(const bender::Program& program,
                                      const RuleTable& table);
 
-/// Dead-command elimination (dataflow-proved dead stores and redundant
-/// PRE/ACT reopen pairs) followed by compaction. Removal changes the
-/// chip's per-command RNG/fault draw sequence, so callers must only use
-/// this on fault-free chips (see DataflowResult); compaction alone is
-/// always safe.
+/// Dead-command elimination (the dead stores and redundant PRE/ACT
+/// reopen pairs `df` — dataflow(program, ctx) — proved) followed by
+/// compaction. Removal changes the chip's per-command RNG/fault draw
+/// sequence, so callers must only use this on fault-free chips (see
+/// DataflowResult); compaction alone is always safe.
+Optimized optimize(const bender::Program& program, const ProgramContext& ctx,
+                   const DataflowResult& df);
+
+/// As above, running the dataflow pass itself.
 Optimized optimize(const bender::Program& program, const ProgramContext& ctx);
 
 }  // namespace simra::verify

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bender/executor.hpp"
 #include "dram/chip.hpp"
 #include "dram/vendor.hpp"
+#include "obs/metrics.hpp"
 #include "pud/engine.hpp"
 #include "pud/program_builders.hpp"
 #include "pud/reliability_map.hpp"
 #include "pud/row_group.hpp"
 #include "verify/dataflow.hpp"
+#include "verify/lint.hpp"
+#include "verify/optimizer.hpp"
 #include "verify/reliability.hpp"
 
 namespace simra::verify {
@@ -99,6 +104,56 @@ TEST_F(ReliabilityLintTest, SingleRowActivationsAreNeverFlagged) {
   EXPECT_TRUE(df.apas.empty());
   const ReliabilityPolicy empty_policy;
   EXPECT_TRUE(lint_reliability(df.apas, empty_policy, p.intents()).empty());
+}
+
+TEST_F(ReliabilityLintTest, LintReportsUnapprovedGroupsThroughItsPolicy) {
+  const pud::RowGroup group = pud::make_group(chip.layout(), 0, 3);
+  const Program p = apa_program(group);
+  prof::Counter& reported =
+      obs::MetricsRegistry::instance().counter("verify.lint.findings");
+  const auto findings_of = [&](const ReliabilityPolicy* policy) {
+    const std::uint64_t before = reported.calls();
+    lint(p, ctx, policy);
+    return reported.calls() - before;
+  };
+  const std::uint64_t baseline = findings_of(nullptr);
+
+  const ReliabilityPolicy empty_policy;
+  EXPECT_EQ(findings_of(&empty_policy), baseline + 1);
+
+  ReliabilityPolicy approved;
+  pud::ReliabilityMap::approve_group(approved, chip.layout(),
+                                     profile.scrambler, kBank, kSa, group);
+  EXPECT_EQ(findings_of(&approved), baseline);
+}
+
+TEST_F(ReliabilityLintTest, ExecutorRunReturnsThePolicyFindings) {
+  const pud::RowGroup group = pud::make_group(chip.layout(), 0, 3);
+  const Program p = apa_program(group);
+  const std::size_t apas = dataflow(p, ctx).apas.size();
+  ASSERT_GT(apas, 0u);
+  set_global_opt_mode(OptMode::kLint);
+  bender::Executor& executor = engine.executor();
+
+  const ReliabilityPolicy empty_policy;
+  (void)executor.run(p, &empty_policy);
+  EXPECT_EQ(executor.last_lint().apas, apas);
+  ASSERT_EQ(executor.last_lint().unreliable.size(), 1u);
+  EXPECT_EQ(executor.last_lint().unreliable.front().check,
+            CheckId::kUnreliableGroup);
+
+  ReliabilityPolicy approved;
+  pud::ReliabilityMap::approve_group(approved, chip.layout(),
+                                     profile.scrambler, kBank, kSa, group);
+  (void)executor.run(p, &approved);
+  EXPECT_EQ(executor.last_lint().apas, apas);
+  EXPECT_TRUE(executor.last_lint().unreliable.empty());
+
+  // Without a policy nothing is cross-checked.
+  (void)executor.run(p);
+  EXPECT_EQ(executor.last_lint().apas, 0u);
+  EXPECT_TRUE(executor.last_lint().unreliable.empty());
+  set_global_opt_mode(std::nullopt);
 }
 
 }  // namespace
