@@ -6,20 +6,15 @@
 #include <string>
 #include <vector>
 
-#include "fault/injector.hpp"
+#include "fault/retry.hpp"
 #include "obs/trace.hpp"
 
 namespace simra::charz {
 
 /// Outcome of one chip task across its retry attempts.
-struct ChipReport {
+struct ChipReport : fault::AttemptRecord {
   std::uint64_t module_index = 0;
   std::size_t chip_index = 0;
-  unsigned attempts = 0;
-  bool succeeded = false;
-  std::string error;  ///< last failure message; empty for a clean first try.
-  fault::FaultCounters faults;  ///< injected-fault tallies over all attempts.
-  std::vector<std::string> trace;  ///< fault events (spec.trace runs only).
   /// Spans/events recorded while the task ran (SIMRA_TRACE runs only);
   /// sealed into the global log in task order by collect_coverage.
   std::shared_ptr<obs::TaskBuffer> obs;

@@ -1,7 +1,6 @@
 #include "charz/runner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -11,7 +10,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "dram/chip.hpp"
-#include "fault/injector.hpp"
+#include "fault/retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -107,28 +106,12 @@ Resilience resilience_from_env() {
 
 namespace {
 
-/// Seals the task's observability buffer: chip-task metadata for the
-/// synthesized trace span, a structured event per failed attempt having
-/// already been recorded inside the loop.
-void seal_obs_buffer(ChipReport& report) {
-  if (report.obs == nullptr) return;
-  report.obs->attempts = report.attempts;
-  report.obs->succeeded = report.succeeded;
-  report.obs->error = report.error;
-  static obs::Histogram& attempts_hist =
-      obs::MetricsRegistry::instance().histogram("charz/task_attempts",
-                                                 {1, 2, 3, 4, 5, 6});
-  attempts_hist.observe(static_cast<double>(report.attempts));
-}
-
 /// Everything one slot subtask hands back to its chip task. Written by
 /// exactly one worker, read by the chip task after the join.
 struct SlotOutcome {
   std::shared_ptr<obs::TaskBuffer> obs;
-  fault::FaultCounters faults;
-  std::vector<std::string> trace;
-  std::string error;
-  bool failed = false;
+  std::optional<fault::ChipInjector> injector;
+  std::exception_ptr error;
 };
 
 }  // namespace
@@ -150,11 +133,6 @@ ChipReport run_chip_task_resilient(
   // their own buffers (bound per worker thread below) and are folded in
   // afterwards in slot order.
   obs::TaskScope obs_scope(report.obs.get());
-  // Injector construction + per-attempt bookkeeping only happen when the
-  // spec actually injects (or traces); a clean run takes the exact
-  // pre-resilience path.
-  const bool use_faults = res.spec.injects() || res.spec.trace;
-  const unsigned max_attempts = res.spec.retry_max + 1;
   const std::size_t slots = slots_per_chip(plan);
   // One shared deviate memo per chip task, reused across slots *and*
   // retry attempts: it caches pure functions of the chip's variation
@@ -164,121 +142,72 @@ ChipReport run_chip_task_resilient(
   // shifted to start where the previous one ended, which keeps the merged
   // trace identical at any worker count.
   double virtual_cursor = 0.0;
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    report.attempts = attempt + 1;
-    if (attempt > 0) {
-      reset();
-      if (res.spec.retry_backoff_ms > 0.0) {
-        const double backoff_ms =
-            res.spec.retry_backoff_ms * static_cast<double>(1u << (attempt - 1));
-        static obs::Histogram& backoff_hist =
-            obs::MetricsRegistry::instance().histogram(
-                "charz/backoff_ms",
-                {0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-        backoff_hist.observe(backoff_ms);
-        obs::emit_event("task.retry",
-                        {{"attempt", std::to_string(attempt)},
-                         {"backoff_ms", std::to_string(backoff_ms)}});
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-      } else {
-        obs::emit_event("task.retry", {{"attempt", std::to_string(attempt)}});
-      }
-    }
-    bool attempt_ok = true;
-    std::string attempt_error;
-    // Chip-level fault decisions are drawn before the fan-out, from the
-    // historical whole-chip key (subtask 0), so whether an attempt
-    // crashes or stalls is unchanged by the slot decomposition.
-    std::optional<fault::ChipInjector> chip_injector;
-    if (use_faults) {
-      chip_injector.emplace(res.spec, res.fault_seed, task.module_index,
-                            static_cast<std::uint32_t>(task.chip_index),
-                            attempt);
-      if (chip_injector->task_crash(task_ordinal)) {
-        attempt_ok = false;
-        attempt_error = "injected chip-task crash (task " +
-                        std::to_string(task_ordinal) + ", attempt " +
-                        std::to_string(attempt) + ")";
-      } else if (chip_injector->task_delay_ms() > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            chip_injector->task_delay_ms()));
-      }
-    }
-    if (attempt_ok) {
-      std::vector<SlotOutcome> outcomes(slots);
-      {
-        WorkStealingPool::Group group(pool);
-        for (std::size_t slot = 0; slot < slots; ++slot) {
-          group.spawn([&plan, &task, &res, &fn, &outcomes, &deviates,
-                       use_faults, attempt, slot,
-                       has_obs = report.obs != nullptr] {
-            SlotOutcome& outcome = outcomes[slot];
-            if (has_obs)
-              outcome.obs = std::make_shared<obs::TaskBuffer>(
-                  0, "s" + std::to_string(slot), obs::ring_capacity());
-            obs::TaskScope scope(outcome.obs.get());
-            std::optional<fault::ChipInjector> injector;
-            if (use_faults)
-              injector.emplace(res.spec, res.fault_seed, task.module_index,
-                               static_cast<std::uint32_t>(task.chip_index),
-                               attempt, static_cast<unsigned>(slot) + 1);
-            try {
-              run_slot_task(plan, task, slot,
-                            injector ? &*injector : nullptr, &deviates, fn);
-            } catch (const std::exception& e) {
-              outcome.failed = true;
-              outcome.error = e.what();
-            } catch (...) {
-              outcome.failed = true;
-              outcome.error = "unknown exception";
-            }
-            if (injector) {
-              outcome.faults = injector->counters();
-              outcome.trace = injector->trace();
-            }
-          });
-        }
-        group.wait();
-      }
-      // Deterministic slot-order aggregation: counters, fault traces, obs
-      // buffers, and the winning error are all independent of which
-      // worker finished when.
+  // The chip-level injector (crash, delay) is the runner's, drawn on the
+  // historical whole-chip key (subtask 0) before the fan-out, so whether
+  // an attempt crashes or stalls is unchanged by the slot decomposition.
+  const auto crash_message = [task_ordinal](unsigned attempt) {
+    return "injected chip-task crash (task " + std::to_string(task_ordinal) +
+           ", attempt " + std::to_string(attempt) + ")";
+  };
+  const auto attempt_slots = [&](unsigned attempt,
+                                 fault::ChipInjector* chip_injector) {
+    if (attempt > 0) reset();
+    const bool use_faults = chip_injector != nullptr;
+    std::vector<SlotOutcome> outcomes(slots);
+    {
+      WorkStealingPool::Group group(pool);
       for (std::size_t slot = 0; slot < slots; ++slot) {
-        SlotOutcome& outcome = outcomes[slot];
-        if (report.obs != nullptr && outcome.obs != nullptr) {
-          const double start = virtual_cursor;
-          const double duration = outcome.obs->end_ns();
-          report.obs->add_span(
-              {"subtask s" + std::to_string(slot), "charz", start, duration,
-               {{"attempt", std::to_string(attempt)}}});
-          report.obs->absorb(*outcome.obs, start);
-          virtual_cursor = start + duration;
-        }
-        report.faults += outcome.faults;
-        report.trace.insert(report.trace.end(), outcome.trace.begin(),
-                            outcome.trace.end());
-        if (outcome.failed && attempt_ok) {
-          attempt_ok = false;
-          attempt_error = outcome.error;
-        }
+        group.spawn([&plan, &task, &res, &fn, &outcomes, &deviates,
+                     use_faults, attempt, slot,
+                     has_obs = report.obs != nullptr] {
+          SlotOutcome& outcome = outcomes[slot];
+          if (has_obs)
+            outcome.obs = std::make_shared<obs::TaskBuffer>(
+                0, "s" + std::to_string(slot), obs::ring_capacity());
+          obs::TaskScope scope(outcome.obs.get());
+          if (use_faults)
+            outcome.injector.emplace(
+                res.spec, res.fault_seed, task.module_index,
+                static_cast<std::uint32_t>(task.chip_index), attempt,
+                static_cast<unsigned>(slot) + 1);
+          try {
+            run_slot_task(plan, task, slot,
+                          outcome.injector ? &*outcome.injector : nullptr,
+                          &deviates, fn);
+          } catch (...) {
+            outcome.error = std::current_exception();
+          }
+        });
       }
+      group.wait();
     }
-    if (chip_injector) {
-      report.faults += chip_injector->counters();
-      report.trace.insert(report.trace.end(), chip_injector->trace().begin(),
-                          chip_injector->trace().end());
+    // Deterministic slot-order aggregation: counters, fault traces, obs
+    // buffers, and the winning error are all independent of which worker
+    // finished when. A failed slot fails the attempt with the lowest
+    // failed slot's error.
+    std::exception_ptr first_error;
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      SlotOutcome& outcome = outcomes[slot];
+      if (report.obs != nullptr && outcome.obs != nullptr) {
+        const double start = virtual_cursor;
+        const double duration = outcome.obs->end_ns();
+        report.obs->add_span(
+            {"subtask s" + std::to_string(slot), "charz", start, duration,
+             {{"attempt", std::to_string(attempt)}}});
+        report.obs->absorb(*outcome.obs, start);
+        virtual_cursor = start + duration;
+      }
+      if (outcome.injector) report.add(*outcome.injector);
+      if (!first_error) first_error = outcome.error;
     }
-    if (attempt_ok) {
-      report.succeeded = true;
-      break;
-    }
-    report.error = attempt_error;
-    obs::emit_event("task.attempt_failed",
-                    {{"attempt", std::to_string(attempt)},
-                     {"error", report.error}});
-  }
-  seal_obs_buffer(report);
+    if (first_error) std::rethrow_exception(first_error);
+  };
+  fault::run_attempts(res.spec, res.fault_seed,
+                      {static_cast<std::uint32_t>(task.module_index),
+                       static_cast<std::uint32_t>(task.chip_index),
+                       task_ordinal},
+                      report, crash_message, attempt_slots);
+  report.annotate(report.obs.get());
   return report;
 }
 

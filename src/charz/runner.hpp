@@ -104,19 +104,20 @@ struct Resilience {
 };
 Resilience resilience_from_env();
 
-/// Runs one chip task under the resilience policy, fanning its slots out
-/// as subtasks on `pool` (nested fork-join: the calling worker executes
-/// slot subtasks while it waits). Chip-level fault decisions (task crash,
-/// delay) are drawn before the fan-out from the attempt's chip injector
-/// so they are unchanged by the decomposition; each slot gets its own
-/// injector keyed by (…, attempt, slot + 1). Bounded retry with
-/// exponential backoff stays at the chip aggregate: any failed slot fails
-/// the attempt (lowest slot's error wins, deterministically), `reset`
-/// must discard the partial accumulator state of every slot, and a chip
-/// that exhausts its retries is quarantined whole. Per-slot observability
-/// buffers are folded into the chip's buffer in slot order on a virtual
-/// timeline, so trace/event artifacts stay byte-identical at any worker
-/// count. Never throws.
+/// Runs one chip task under the resilience policy of
+/// `fault::run_attempts`, which owns the attempt budget, backoff, the
+/// chip-level crash and delay (drawn before the fan-out on the chip's
+/// whole-chip injector key, so unchanged by the decomposition) and the
+/// retry events. Each attempt fans the slots out as subtasks on `pool`
+/// (nested fork-join: the calling worker executes slot subtasks while it
+/// waits); each slot gets its own injector keyed by
+/// (…, attempt, slot + 1). Retry stays at the chip aggregate: any failed
+/// slot fails the attempt (lowest slot's error wins, deterministically),
+/// `reset` must discard the partial accumulator state of every slot, and
+/// a chip that exhausts its retries is quarantined whole. Per-slot
+/// observability buffers are folded into the chip's buffer in slot order
+/// on a virtual timeline, so trace/event artifacts stay byte-identical at
+/// any worker count. Never throws.
 ChipReport run_chip_task_resilient(
     const Plan& plan, const ChipTask& task, std::size_t task_ordinal,
     const Resilience& res, WorkStealingPool& pool,

@@ -119,7 +119,12 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
       } else if (key == "task.crash_tasks") {
         out.task_crash_tasks = parse_uint_list(key, value);
       } else if (key == "retry.max") {
-        out.retry_max = static_cast<unsigned>(parse_uint(key, value));
+        const std::uint64_t retries = parse_uint(key, value);
+        if (retries > kMaxRetries)
+          throw std::invalid_argument(
+              "fault spec: " + key + " must be at most " +
+              std::to_string(kMaxRetries) + ", got '" + value + "'");
+        out.retry_max = static_cast<unsigned>(retries);
       } else if (key == "retry.backoff_ms") {
         out.retry_backoff_ms = parse_nonnegative(key, value);
       } else if (key == "quarantine.budget") {

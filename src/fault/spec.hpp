@@ -36,8 +36,13 @@ struct FaultSpec {
   /// chips until the retry budget quarantines them.
   std::vector<std::uint64_t> task_crash_tasks;
 
-  // --- resilience policy ---
-  unsigned retry_max = 2;          ///< retries per chip task after the first attempt.
+  // --- resilience policy (fault::run_attempts) ---
+  /// Largest accepted `retry.max`: the backoff before retry k doubles
+  /// k - 1 times, and 31 keeps that doubling in range of a 32-bit shift.
+  static constexpr unsigned kMaxRetries = 31;
+  /// Retries per chip task or serve batch after the first attempt, at most
+  /// kMaxRetries.
+  unsigned retry_max = 2;
   double retry_backoff_ms = 0.0;   ///< base of the exponential backoff between attempts.
   bool quarantine_budget_set = false;
   std::size_t quarantine_budget = 0;  ///< max chips quarantined before the run aborts.
@@ -67,8 +72,9 @@ struct FaultSpec {
   bool crashes_task(std::uint64_t task_ordinal) const noexcept;
 
   /// Parses a spec string; throws std::invalid_argument naming the
-  /// offending key on unknown keys, malformed values, or out-of-range
-  /// rates. The empty string parses to the all-defaults spec.
+  /// offending key on unknown keys, malformed values, out-of-range rates,
+  /// or `retry.max` above kMaxRetries. The empty string parses to the
+  /// all-defaults spec.
   static FaultSpec parse(const std::string& spec);
 
   /// parse(SIMRA_FAULT_SPEC), or the all-defaults spec when unset.

@@ -50,7 +50,6 @@ struct ServeMetrics {
   prof::Counter& rerouted;
   prof::Counter& deadline_miss;
   prof::Counter& batches;
-  prof::Counter& batch_retries;
 
   static ServeMetrics& instance() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -71,7 +70,6 @@ struct ServeMetrics {
         reg.counter("serve/reroutes"),
         reg.counter("serve/deadline_miss"),
         reg.counter("serve/batches"),
-        reg.counter("serve/batch_retries"),
     };
     return metrics;
   }
@@ -217,7 +215,6 @@ void Service::record_batch_metrics(const BatchOutcome& outcome,
                                    std::size_t size) {
   ServeMetrics& m = ServeMetrics::instance();
   m.batches.add_count(1);
-  if (outcome.attempts > 1) m.batch_retries.add_count(outcome.attempts - 1);
   m.batch_size.observe(static_cast<double>(size));
   m.batch_virtual_us.observe(
       (outcome.end_clock_ns - outcome.start_clock_ns) / 1000.0);

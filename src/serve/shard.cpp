@@ -1,11 +1,8 @@
 #include "serve/shard.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -248,91 +245,63 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
          {"table", std::move(table)}});
   }
 
-  const unsigned max_attempts = res.spec.retry_max + 1;
-  const bool use_faults = res.spec.injects();
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    outcome.attempts = attempt + 1;
-    if (attempt > 0 && res.spec.retry_backoff_ms > 0.0) {
-      const double backoff_ms = res.spec.retry_backoff_ms *
-                                static_cast<double>(1u << (attempt - 1));
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-    }
-    std::optional<fault::ChipInjector> injector;
-    bool ok = true;
-    std::string attempt_error;
-    const double attempt_start = clock_ns();
-    try {
-      if (use_faults) {
-        injector.emplace(res.spec, res.fault_seed, index_,
-                         static_cast<std::uint32_t>(batch_seq), attempt);
-        if (injector->task_crash(index_))
-          throw fault::InjectedFault(
-              "injected shard crash (shard " + std::to_string(index_) +
-              ", batch " + std::to_string(batch_seq) + ", attempt " +
-              std::to_string(attempt) + ")");
-        if (injector->task_delay_ms() > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-              injector->task_delay_ms()));
-        chip_.install_faults(&*injector);
-        engine_.executor().install_faults(&*injector);
-      }
-      // Lint checks the batch's APAs against the profiled groups (§8.1).
-      // Only the fused run carries the policy: profiling trials and the
-      // unbatched reference path stay unchecked.
-      auto result = engine_.executor().run(fused, &policy_);
-      std::vector<BitVec> reads = std::move(result.reads);
-      // Extents are batch-relative; shift to the shard's virtual clock.
-      std::vector<FusedExtent> absolute(extents);
-      for (FusedExtent& e : absolute) {
-        e.start_ns += attempt_start;
-        e.end_ns += attempt_start;
-      }
-      finalize_responses(batch, compiled, absolute, reads, outcome.attempts,
-                         batch_seq, outcome);
-    } catch (const std::exception& e) {
-      ok = false;
-      attempt_error = e.what();
-    }
-    if (injector) outcome.faults += injector->counters();
-    if (use_faults) {
-      chip_.install_faults(nullptr);
-      engine_.executor().install_faults(nullptr);
-    }
-    if (ok) {
-      // Every attempt that reaches the executor lints; the shard counts
-      // and attributes the check of the attempt it delivers.
-      account_reliability(engine_.executor().last_lint(), slices,
-                          outcome.buffer.get());
-      outcome.succeeded = true;
-      break;
-    }
-    outcome.error = attempt_error;
-    if (outcome.buffer) {
-      outcome.buffer->add_event(
-          "serve.batch.attempt_failed",
-          {{"shard", std::to_string(index_)},
-           {"batch", std::to_string(batch_seq)},
-           {"attempt", std::to_string(attempt)},
-           {"error", attempt_error}});
-      // The failed attempt as a span, so a request's retries are visible
-      // on the shard track right before its successful execute window.
-      obs::RichSpan retry;
-      retry.name = "retry " + std::to_string(attempt);
-      retry.cat = "serve.batch";
-      retry.ts_ns = attempt_start;
-      retry.dur_ns = std::max(clock_ns() - attempt_start, 0.0);
-      retry.args = {{"batch", std::to_string(batch_seq)},
-                    {"error", attempt_error}};
-      outcome.buffer->add_span(std::move(retry));
-    }
-  }
+  // An attempt's injector is installed for its run only: the body removes
+  // it on success, the failure hook on every failed attempt.
+  const auto install_faults = [this](fault::ChipInjector* injector) {
+    chip_.install_faults(injector);
+    engine_.executor().install_faults(injector);
+  };
+  // Each attempt starts where the previous one ended on the virtual
+  // clock; the backoff between them is wall-clock time only.
+  double attempt_start = clock_ns();
+  fault::run_attempts(
+      res.spec, res.fault_seed,
+      {index_, static_cast<std::uint32_t>(batch_seq), index_}, outcome,
+      [&](unsigned attempt) {
+        return "injected shard crash (shard " + std::to_string(index_) +
+               ", batch " + std::to_string(batch_seq) + ", attempt " +
+               std::to_string(attempt) + ")";
+      },
+      [&](unsigned, fault::ChipInjector* injector) {
+        if (injector != nullptr) install_faults(injector);
+        // Lint checks the batch's APAs against the profiled groups (§8.1).
+        // Only the fused run carries the policy: profiling trials and the
+        // unbatched reference path stay unchecked.
+        auto result = engine_.executor().run(fused, &policy_);
+        std::vector<BitVec> reads = std::move(result.reads);
+        // Extents are batch-relative; shift to the shard's virtual clock.
+        std::vector<FusedExtent> absolute(extents);
+        for (FusedExtent& e : absolute) {
+          e.start_ns += attempt_start;
+          e.end_ns += attempt_start;
+        }
+        finalize_responses(batch, compiled, absolute, reads, outcome.attempts,
+                           batch_seq, outcome);
+        if (injector != nullptr) install_faults(nullptr);
+      },
+      [&](unsigned attempt, const std::string& error) {
+        install_faults(nullptr);
+        // The failed attempt as a span, so a request's retries are visible
+        // on the shard track right before its successful execute window.
+        if (outcome.buffer) {
+          obs::RichSpan retry;
+          retry.name = "retry " + std::to_string(attempt);
+          retry.cat = "serve.batch";
+          retry.ts_ns = attempt_start;
+          retry.dur_ns = std::max(clock_ns() - attempt_start, 0.0);
+          retry.args = {{"batch", std::to_string(batch_seq)},
+                        {"error", error}};
+          outcome.buffer->add_span(std::move(retry));
+        }
+        attempt_start = clock_ns();
+      });
+  // Every attempt that reaches the executor lints; the shard counts and
+  // attributes the check of the attempt it delivers, the last one run.
+  if (outcome.succeeded)
+    account_reliability(engine_.executor().last_lint(), slices,
+                        outcome.buffer.get());
   outcome.end_clock_ns = clock_ns();
-  if (outcome.buffer) {
-    outcome.buffer->attempts = outcome.attempts;
-    outcome.buffer->succeeded = outcome.succeeded;
-    outcome.buffer->error = outcome.error;
-  }
+  outcome.annotate(outcome.buffer.get());
   return outcome;
 }
 
@@ -369,10 +338,7 @@ BatchOutcome Shard::execute_unbatched(std::span<const BatchItem> batch,
   finalize_responses(batch, compiled, extents, reads, 1, batch_seq, outcome);
   outcome.succeeded = true;
   outcome.end_clock_ns = clock_ns();
-  if (outcome.buffer) {
-    outcome.buffer->attempts = 1;
-    outcome.buffer->succeeded = true;
-  }
+  outcome.annotate(outcome.buffer.get());
   return outcome;
 }
 

@@ -11,7 +11,7 @@
 #include "charz/runner.hpp"
 #include "common/rng.hpp"
 #include "dram/chip.hpp"
-#include "fault/injector.hpp"
+#include "fault/retry.hpp"
 #include "obs/trace.hpp"
 #include "pud/engine.hpp"
 #include "pud/reliability_map.hpp"
@@ -39,17 +39,14 @@ struct BatchItem {
   TraceContext trace;
 };
 
-/// What one fused batch execution produced. `responses` is parallel to
-/// the batch (one entry per item, in order); on a failed batch only the
-/// compile-rejected entries are meaningful — the rest are rerouted or
-/// failed by the service.
-struct BatchOutcome {
-  bool succeeded = false;
-  unsigned attempts = 0;
-  std::string error;
+/// What one fused batch execution produced: its attempts as
+/// `fault::run_attempts` recorded them, plus the responses. `responses`
+/// is parallel to the batch (one entry per item, in order); on a failed
+/// batch only the compile-rejected entries are meaningful — the rest are
+/// rerouted or failed by the service.
+struct BatchOutcome : fault::AttemptRecord {
   double start_clock_ns = 0.0;  ///< shard virtual clock at batch start.
   double end_clock_ns = 0.0;
-  fault::FaultCounters faults;
   std::shared_ptr<obs::TaskBuffer> buffer;  ///< sealed by the scheduler.
   std::vector<Response> responses;
   std::vector<bool> rejected;  ///< compile-rejected items (never rerouted).
@@ -57,10 +54,10 @@ struct BatchOutcome {
 
 /// One chip instance serving fused batches: Chip + Engine + compiler plus
 /// the reliability-steered activation-group cache. A shard is confined to
-/// one scheduler task at a time, so its internals take no locks. Retry /
-/// backoff / quarantine mirror `charz::run_chip_task_resilient`: bounded
-/// retries with exponential backoff per batch, injector streams keyed by
-/// (shard, batch, attempt) plan coordinates — never scheduling — and a
+/// one scheduler task at a time, so its internals take no locks. Each
+/// fused batch runs under `fault::run_attempts`, the policy chip tasks use
+/// too: bounded retries with exponential backoff, injector streams keyed
+/// by (shard, batch, attempt) plan coordinates — never scheduling — and a
 /// shard that exhausts its retries is quarantined by the service.
 class Shard {
  public:

@@ -87,7 +87,6 @@ void export_occupancy_metrics(const OccupancyStats& stats,
   registry.counter("verify.occupancy.commands").add_count(stats.commands);
   registry.counter("verify.occupancy.extent_slots")
       .add_count(stats.extent_slots);
-  registry.gauge("verify.occupancy.utilization").set(stats.utilization);
   static const std::vector<double> kBankBounds = {0, 1, 2, 4, 8, 16};
   auto& parallelism =
       registry.histogram("verify.occupancy.bank_parallelism", kBankBounds);

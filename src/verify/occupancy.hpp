@@ -73,10 +73,13 @@ const RequestSlice* slice_for_command(const std::vector<RequestSlice>& slices,
                                       std::size_t command_index);
 
 /// Publishes one program's occupancy into the simra::obs registry
-/// (counters `verify.occupancy.*`, gauge `verify.occupancy.utilization`,
-/// histogram `verify.occupancy.bank_parallelism`) and emits a
-/// `program_occupancy` event tagged with the program name. No-ops are
-/// the registry's business: cheap enough to call unconditionally.
+/// (counters `verify.occupancy.*`, histogram
+/// `verify.occupancy.bank_parallelism`) and emits a `program_occupancy`
+/// event tagged with the program name and its utilization. There is no
+/// utilization gauge: programs lint concurrently on shard workers, so a
+/// process-wide last value would depend on scheduling; the aggregate is
+/// `verify.occupancy.commands / verify.occupancy.extent_slots`. No-ops
+/// are the registry's business: cheap enough to call unconditionally.
 void export_occupancy_metrics(const OccupancyStats& stats,
                               const std::string& program_name);
 

@@ -94,6 +94,22 @@ TEST(FaultSpec, ErrorNamesTheOffendingKey) {
   }
 }
 
+TEST(FaultSpec, RetryMaxIsCappedAt31) {
+  EXPECT_EQ(FaultSpec::parse("retry.max=31").retry_max, 31u);
+  // 32 would double the backoff past a 32-bit shift; 4294967295 would wrap
+  // the attempt budget to 0; 4294967296 would truncate to 0 retries.
+  for (const char* spec :
+       {"retry.max=32", "retry.max=4294967295", "retry.max=4294967296"}) {
+    try {
+      FaultSpec::parse(spec);
+      ADD_FAILURE() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("retry.max"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FaultSpec, EffectiveQuarantineBudget) {
   // Injecting spec without an explicit budget: injected failures are
   // expected, so the budget is unlimited.

@@ -23,6 +23,7 @@
 #include "serve/service.hpp"
 #include "serve/workload.hpp"
 #include "support/scoped_env.hpp"
+#include "verify/optimizer.hpp"
 
 namespace simra::serve {
 namespace {
@@ -35,25 +36,26 @@ struct RunResult {
   std::string events;
   std::string trace;
   std::string metrics;
+  std::string verify_metrics;  ///< the verify.* metrics of the executor lint.
   std::string snapshot;  ///< the SLO snapshot.json rendering.
 };
 
-/// Canonical rendering of the serve/* metrics (calls, gauge values, full
-/// bucket vectors and float-accumulated sums). The full Prometheus render
-/// also carries wall-clock seconds of unrelated profiling counters, which
-/// are real time and so never thread-count-invariant; the serve surface
-/// is all virtual-time and must be.
-std::string render_serve_metrics() {
+/// Canonical rendering of the metrics named `prefix`* (calls, gauge
+/// values, full bucket vectors and float-accumulated sums). The full
+/// Prometheus render also carries wall-clock seconds of profiling
+/// counters, which are real time and so never thread-count-invariant;
+/// the call counts and the serve surface are all virtual-time and must be.
+std::string render_metrics(const std::string& prefix) {
   auto& registry = obs::MetricsRegistry::instance();
   std::ostringstream os;
   for (const auto& counter : registry.counters_snapshot())
-    if (counter.name.rfind("serve/", 0) == 0)
+    if (counter.name.rfind(prefix, 0) == 0)
       os << counter.name << " calls=" << counter.calls << '\n';
   for (const auto& gauge : registry.gauges_snapshot())
-    if (gauge.name.rfind("serve/", 0) == 0)
+    if (gauge.name.rfind(prefix, 0) == 0)
       os << gauge.name << " value=" << gauge.value << '\n';
   for (const auto& histogram : registry.histograms_snapshot())
-    if (histogram.name.rfind("serve/", 0) == 0) {
+    if (histogram.name.rfind(prefix, 0) == 0) {
       os << histogram.name << " count=" << histogram.count
          << " sum=" << histogram.sum << " buckets=";
       for (const std::uint64_t bucket : histogram.counts) os << bucket << ',';
@@ -115,7 +117,8 @@ RunResult run_fixed_workload(const char* threads) {
   }
   result.events = obs::Log::instance().render_events_jsonl();
   result.trace = obs::Log::instance().render_trace_json();
-  result.metrics = render_serve_metrics();
+  result.metrics = render_metrics("serve/");
+  result.verify_metrics = render_metrics("verify.");
   result.snapshot = obs::SloRegistry::instance().render_snapshot_json();
   return result;
 }
@@ -179,7 +182,9 @@ TEST_F(ServeDeterminism, FaultInjectedServeArtifactsAreByteIdentical) {
 
   // The injected degradation is visible, deterministically.
   EXPECT_NE(serial.events.find("serve.shard.quarantined"), std::string::npos);
-  EXPECT_NE(serial.events.find("serve.batch.attempt_failed"),
+  EXPECT_NE(serial.events.find("\"type\":\"task.attempt_failed\""),
+            std::string::npos);
+  EXPECT_NE(serial.events.find("\"type\":\"task.retry\""),
             std::string::npos);
 
   // So is the request-scoped view of it: rerouted requests announce
@@ -189,6 +194,20 @@ TEST_F(ServeDeterminism, FaultInjectedServeArtifactsAreByteIdentical) {
   EXPECT_NE(serial.trace.find("\"name\":\"retry "), std::string::npos);
   // Rerouted requests carry their journey in the parent span args.
   EXPECT_NE(serial.trace.find("\"reroutes\":\"1\""), std::string::npos);
+}
+
+// With SIMRA_OPT=lint every fused batch is linted on the shard worker
+// that runs it; its verify.* metrics must not depend on which worker
+// finishes last.
+TEST_F(ServeDeterminism, LintMetricsAreIdenticalAcrossThreads) {
+  verify::set_global_opt_mode(verify::OptMode::kLint);
+  const RunResult serial = run_fixed_workload("1");
+  const RunResult parallel = run_fixed_workload("4");
+  verify::set_global_opt_mode(std::nullopt);
+  EXPECT_NE(serial.verify_metrics.find("verify.occupancy.programs"),
+            std::string::npos);
+  EXPECT_EQ(serial.verify_metrics, parallel.verify_metrics);
+  EXPECT_EQ(serial.responses, parallel.responses);
 }
 
 TEST_F(ServeDeterminism, RepeatedIdenticalRunsAreByteIdentical) {
