@@ -21,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "common/bitvec.hpp"
+#include "common/normal.hpp"
 #include "common/rng.hpp"
 #include "dram/kernels.hpp"
 #include "dram/process_variation.hpp"
@@ -38,23 +39,24 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-void BM_ThresholdMask(benchmark::State& state) {
-  const auto zetas = random_floats(kColumns, 1);
+void BM_HashedThresholdMask(benchmark::State& state) {
   for (auto _ : state)
-    benchmark::DoNotOptimize(dram::kernels::threshold_mask(zetas, 0.25f));
+    benchmark::DoNotOptimize(
+        dram::kernels::hashed_threshold_mask(0x5eed, kColumns, 0.25f));
 }
-BENCHMARK(BM_ThresholdMask);
+BENCHMARK(BM_HashedThresholdMask);
 
-void BM_ThresholdMaskScalar(benchmark::State& state) {
-  const auto zetas = random_floats(kColumns, 1);
+void BM_HashedThresholdMaskScalar(benchmark::State& state) {
   for (auto _ : state) {
     BitVec mask(kColumns);
     for (std::size_t c = 0; c < kColumns; ++c)
-      if (zetas[c] < 0.25f) mask.set(c, true);
+      if (static_cast<float>(uniform_from_hash(hash_combine(0x5eed, c))) <
+          0.25f)
+        mask.set(c, true);
     benchmark::DoNotOptimize(mask);
   }
 }
-BENCHMARK(BM_ThresholdMaskScalar);
+BENCHMARK(BM_HashedThresholdMaskScalar);
 
 void BM_LatchRaceMask(benchmark::State& state) {
   const auto race = random_floats(kColumns, 2);
@@ -239,9 +241,10 @@ int simd_report(bool assert_avx2_wins) {
   std::vector<std::int32_t> flags(sums.size());
 
   const std::vector<std::pair<std::string, std::function<void()>>> kernels = {
-      {"threshold_mask",
+      {"hashed_threshold_mask",
        [&] {
-         benchmark::DoNotOptimize(dram::kernels::threshold_mask(zetas, 0.25f));
+         benchmark::DoNotOptimize(
+             dram::kernels::hashed_threshold_mask(0x5eed, kColumns, 0.25f));
        }},
       {"latch_race_mask",
        [&] {
@@ -260,11 +263,6 @@ int simd_report(bool assert_avx2_wins) {
       {"hashed_normal_fill",
        [&] {
          dram::kernels::hashed_normal_fill(0x5eed, deviates);
-         benchmark::DoNotOptimize(deviates.data());
-       }},
-      {"hashed_uniform_fill",
-       [&] {
-         dram::kernels::hashed_uniform_fill(0x5eed, deviates);
          benchmark::DoNotOptimize(deviates.data());
        }},
       {"counter_normal_fill",

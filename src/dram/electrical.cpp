@@ -66,17 +66,15 @@ double mrc_latch_fraction(double t1_ns) {
 }  // namespace calib
 
 std::size_t DeviateCache::KeyHash::operator()(const Key& k) const noexcept {
-  return static_cast<std::size_t>(
-      hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
-                                k.count),
-                   k.uniform ? 1u : 0u));
+  return static_cast<std::size_t>(hash_combine(
+      hash_combine(hash_combine(k.salt, k.k1), k.k2), k.count));
 }
 
 std::shared_ptr<const float[]> DeviateCache::get_or_compute(
     std::uint64_t salt, std::uint64_t k1, std::uint64_t k2, std::size_t count,
-    bool uniform, const VariationField& field) {
+    const VariationField& field) {
   constexpr std::size_t kCapacity = 8192;  // bound memory.
-  const Key key{salt, k1, k2, count, uniform};
+  const Key key{salt, k1, k2, count};
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);
   if (it != map_.end()) {
@@ -90,11 +88,7 @@ std::shared_ptr<const float[]> DeviateCache::get_or_compute(
   }
   std::shared_ptr<float[]> values =
       std::make_shared_for_overwrite<float[]>(count);
-  const std::span<float> out(values.get(), count);
-  if (uniform)
-    field.uniform_fill(salt, k1, k2, out);
-  else
-    field.normal_fill(salt, k1, k2, out);
+  field.normal_fill(salt, k1, k2, {values.get(), count});
   order_.push_back(key);
   map_.emplace(key, Entry{values, std::prev(order_.end())});
   return values;
@@ -103,13 +97,7 @@ std::shared_ptr<const float[]> DeviateCache::get_or_compute(
 std::shared_ptr<const float[]> ElectricalModel::deviates(
     std::uint64_t salt, std::uint64_t k1, std::uint64_t k2,
     std::size_t count) const {
-  return deviates_->get_or_compute(salt, k1, k2, count, false, *variation_);
-}
-
-std::shared_ptr<const float[]> ElectricalModel::uniforms(
-    std::uint64_t salt, std::uint64_t k1, std::uint64_t k2,
-    std::size_t count) const {
-  return deviates_->get_or_compute(salt, k1, k2, count, true, *variation_);
+  return deviates_->get_or_compute(salt, k1, k2, count, *variation_);
 }
 
 std::size_t ElectricalModel::MaskKeyHash::operator()(
@@ -150,13 +138,12 @@ const BitVec& ElectricalModel::threshold_mask_cached(std::uint64_t salt,
   return mask_cached(key, [&] {
     // Compared in the uniform domain: zeta < z_eff <=> u < normal_cdf(z_eff)
     // (the deviate is inverse_normal_cdf(u) and the CDF is monotone), so
-    // the span fill skips the inverse CDF — by far the dominant cost of a
-    // miss.
-    const auto us = uniforms(salt, k1, k2, count);
+    // no inverse CDF runs, and the hashed uniforms go straight to mask
+    // bits without a stored span.
     const auto u_eff =
         static_cast<float>(normal_cdf(static_cast<double>(z_eff)));
     SIMRA_PROF_SCOPE("electrical/threshold_mask_compute");
-    return kernels::threshold_mask({us.get(), count}, u_eff);
+    return variation_->threshold_mask(salt, k1, k2, count, u_eff);
   });
 }
 

@@ -95,14 +95,13 @@ struct ChargeShareResult {
 /// change any value.
 class DeviateCache {
  public:
-  /// `uniform` selects the span flavor: raw hashed uniforms (for
-  /// monotone threshold compares) or normal deviates (for value use).
-  /// The returned block holds `count` floats and stays valid for the
-  /// lifetime of the shared_ptr regardless of eviction.
+  /// The normal deviates `field.normal_fill(salt, k1, k2, ...)`. The
+  /// returned block holds `count` floats and stays valid for the lifetime
+  /// of the shared_ptr regardless of eviction.
   std::shared_ptr<const float[]> get_or_compute(std::uint64_t salt,
                                                std::uint64_t k1,
                                                std::uint64_t k2,
-                                               std::size_t count, bool uniform,
+                                               std::size_t count,
                                                const VariationField& field);
 
  private:
@@ -114,7 +113,6 @@ class DeviateCache {
     std::uint64_t k1 = 0;
     std::uint64_t k2 = 0;
     std::size_t count = 0;
-    bool uniform = false;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
@@ -227,15 +225,6 @@ class ElectricalModel {
                                           std::uint64_t k2,
                                           std::size_t count) const;
 
-  /// Same cache and lifetime rule as `deviates`, under a distinct key, but
-  /// the span holds the raw hashed uniforms the deviates derive from. Mask
-  /// paths compare these against normal_cdf(threshold) — monotone-
-  /// equivalent to comparing the deviate against the threshold, with no
-  /// inverse CDF on the fill.
-  std::shared_ptr<const float[]> uniforms(std::uint64_t salt, std::uint64_t k1,
-                                          std::uint64_t k2,
-                                          std::size_t count) const;
-
   const VendorProfile* profile_;
   const VariationField* variation_;
   DeviateCache own_deviates_;
@@ -270,7 +259,8 @@ class ElectricalModel {
   /// returns the BitVec) only on a miss.
   template <typename Compute>
   const BitVec& mask_cached(const MaskKey& key, Compute&& compute) const;
-  /// The `zetas < z_eff` stability mask of one span.
+  /// The `zeta < z_eff` stability mask of one (salt, k1, k2) entity row,
+  /// hashed straight to mask bits on a miss.
   const BitVec& threshold_mask_cached(std::uint64_t salt, std::uint64_t k1,
                                       std::uint64_t k2, std::size_t count,
                                       float z_eff) const;

@@ -66,24 +66,6 @@ const char* simd_name(SimdTier tier) noexcept {
   return tier == SimdTier::avx2 ? "avx2" : "scalar";
 }
 
-BitVec threshold_mask(std::span<const float> zetas, float z_eff) {
-  BitVec mask(zetas.size());
-  if (active_simd() == SimdTier::avx2) {
-    avx2::threshold_mask(zetas, z_eff, mask);
-    return mask;
-  }
-  const std::size_t n = zetas.size();
-  std::size_t c = 0;
-  for (std::size_t wi = 0; c < n; ++wi) {
-    std::uint64_t word = 0;
-    const std::size_t limit = std::min(kWordBits, n - c);
-    for (std::size_t b = 0; b < limit; ++b, ++c)
-      word |= static_cast<std::uint64_t>(zetas[c] < z_eff) << b;
-    mask.set_word(wi, word);
-  }
-  return mask;
-}
-
 BitVec latch_race_mask(std::span<const float> race, double latch_fraction) {
   BitVec mask(race.size());
   const std::size_t n = race.size();
@@ -208,13 +190,37 @@ void hashed_normal_fill(std::uint64_t prefix, std::span<float> out) {
         inverse_normal_cdf(hash_to_uniform(hash_combine(prefix, i))));
 }
 
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out) {
-  if (active_simd() == SimdTier::avx2) {
-    avx2::hashed_uniform_fill(prefix, out);
-    return;
+std::uint64_t uniform_bound(float u_eff) noexcept {
+  std::uint64_t lo = 0;
+  for (std::uint64_t hi = std::uint64_t{1} << 53; lo < hi;) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (static_cast<float>(hash_to_uniform(mid << 11)) < u_eff)
+      lo = mid + 1;
+    else
+      hi = mid;
   }
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = static_cast<float>(hash_to_uniform(hash_combine(prefix, i)));
+  return lo;
+}
+
+BitVec hashed_threshold_mask(std::uint64_t prefix, std::size_t count,
+                             float u_eff) {
+  const std::uint64_t bound = uniform_bound(u_eff);
+  BitVec mask(count);
+  if (active_simd() == SimdTier::avx2) {
+    avx2::hashed_threshold_mask(prefix, bound, mask);
+    return mask;
+  }
+  std::size_t c = 0;
+  for (std::size_t wi = 0; c < count; ++wi) {
+    std::uint64_t word = 0;
+    const std::size_t limit = std::min(kWordBits, count - c);
+    for (std::size_t b = 0; b < limit; ++b, ++c)
+      word |= static_cast<std::uint64_t>((hash_combine(prefix, c) >> 11) <
+                                         bound)
+              << b;
+    mask.set_word(wi, word);
+  }
+  return mask;
 }
 
 void counter_normal_fill(std::uint64_t prefix, std::uint64_t base,

@@ -42,10 +42,6 @@ void set_simd_for_test(std::optional<SimdTier> tier) noexcept;
 /// Lower-case tier name ("scalar", "avx2") for manifests and bench rows.
 const char* simd_name(SimdTier tier) noexcept;
 
-/// mask[c] = (zetas[c] < z_eff). The shared margin-vs-deviate compare of
-/// write_overdrive_mask and copy_stable_mask.
-BitVec threshold_mask(std::span<const float> zetas, float z_eff);
-
 /// mask[c] = (normal_cdf(race[c]) < latch_fraction): which sense
 /// amplifiers won the latch race at a partial latch fraction.
 BitVec latch_race_mask(std::span<const float> race, double latch_fraction);
@@ -77,12 +73,24 @@ void column_popcounts(std::span<const BitVec* const> rows, std::size_t word,
 /// the scalar per-index calls at every tier.
 void hashed_normal_fill(std::uint64_t prefix, std::span<float> out);
 
-/// out[i] = float(uniform(hash_combine(prefix, i))) — the hashed uniforms
-/// underneath hashed_normal_fill, without the inverse-CDF mapping.
-/// Threshold compares against a normal deviate are monotone-equivalent in
-/// the uniform domain (zeta < z <=> u < normal_cdf(z)), so mask paths use
-/// these spans and skip the inverse CDF entirely.
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out);
+/// mask[i] = (float(uniform(hash_combine(prefix, i))) < u_eff) for
+/// i < count: the hashed uniforms underneath hashed_normal_fill, compared
+/// against a threshold without being stored. The shared stability compare
+/// of write_overdrive_mask and copy_stable_mask: against a normal deviate
+/// it is monotone-equivalent in the uniform domain (zeta < z <=>
+/// u < normal_cdf(z)), so no inverse CDF runs.
+///
+/// The float uniform is monotone non-decreasing in the hash's 53 high
+/// bits m = h >> 11, so the compare holds exactly for m below
+/// uniform_bound(u_eff); each column costs a hash and an integer compare.
+/// u_eff <= 0 and NaN give all zeros, u_eff > 1 all ones.
+BitVec hashed_threshold_mask(std::uint64_t prefix, std::size_t count,
+                             float u_eff);
+
+/// The smallest m in [0, 2^53] with !(float((m + 0.5) * 2^-53) < u_eff):
+/// the compare holds for every m below it and for none at or above.
+/// Binary search over that exact scalar expression, 53 steps.
+std::uint64_t uniform_bound(float u_eff) noexcept;
 
 /// out[i] = inverse_normal_cdf(uniform_from_hash(hash_combine(prefix,
 /// base + i))) in double precision — the SIMD-dispatched body of

@@ -69,29 +69,6 @@ inline __m256d u53_to_double(__m256i x) {
 
 bool compiled() noexcept { return true; }
 
-void threshold_mask(std::span<const float> zetas, float z_eff, BitVec& mask) {
-  const std::size_t n = zetas.size();
-  const __m256 vz = _mm256_set1_ps(z_eff);
-  std::size_t c = 0;
-  std::size_t wi = 0;
-  for (; n - c >= kWordBits; ++wi, c += kWordBits) {
-    std::uint64_t word = 0;
-    for (int k = 0; k < 8; ++k) {
-      const __m256 v = _mm256_loadu_ps(zetas.data() + c + 8 * k);
-      const auto bits = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_cmp_ps(v, vz, _CMP_LT_OQ)));
-      word |= static_cast<std::uint64_t>(bits) << (8 * k);
-    }
-    mask.set_word(wi, word);
-  }
-  if (c < n) {
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; c < n; ++b, ++c)
-      word |= static_cast<std::uint64_t>(zetas[c] < z_eff) << b;
-    mask.set_word(wi, word);
-  }
-}
-
 std::uint64_t compare_lt_word(const double* values, std::size_t limit,
                               double threshold) {
   const __m256d vt = _mm256_set1_pd(threshold);
@@ -441,37 +418,43 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
   }
 }
 
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out) {
+void hashed_threshold_mask(std::uint64_t prefix, std::uint64_t bound,
+                           BitVec& mask) {
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  // Same hoisted hash_combine as hashed_normal_fill, minus the inverse
-  // CDF: the result is the raw uniform, rounded to float.
+  // Same hoisted hash_combine as hashed_normal_fill. Both sides of the
+  // compare stay below 2^63, so the signed cmpgt is the unsigned m < bound.
   const std::uint64_t c0 = kGolden + (prefix << 6) + (prefix >> 2);
   const __m256i vprefix =
       _mm256_set1_epi64x(static_cast<long long>(prefix));
   const __m256i vc0 = _mm256_set1_epi64x(static_cast<long long>(c0));
   const __m256i vgolden =
       _mm256_set1_epi64x(static_cast<long long>(kGolden));
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d ulp53 = _mm256_set1_pd(0x1.0p-53);
-  const std::size_t n = out.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx = _mm256_setr_epi64x(
-        static_cast<long long>(i), static_cast<long long>(i + 1),
-        static_cast<long long>(i + 2), static_cast<long long>(i + 3));
-    __m256i s =
-        _mm256_xor_si256(vprefix, _mm256_add_epi64(idx, vc0));
-    s = _mm256_add_epi64(s, vgolden);  // splitmix64's own increment.
-    const __m256i h = splitmix_mix(s);
-    const __m256d u = _mm256_mul_pd(
-        _mm256_add_pd(u53_to_double(_mm256_srli_epi64(h, 11)), half),
-        ulp53);
-    _mm_storeu_ps(out.data() + i, _mm256_cvtpd_ps(u));
+  const __m256i vbound = _mm256_set1_epi64x(static_cast<long long>(bound));
+  const __m256i four = _mm256_set1_epi64x(4);
+  __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
+  const std::size_t n = mask.size();
+  std::size_t c = 0;
+  std::size_t wi = 0;
+  for (; n - c >= kWordBits; ++wi, c += kWordBits) {
+    std::uint64_t word = 0;
+    for (int k = 0; k < 16; ++k) {
+      __m256i s = _mm256_xor_si256(vprefix, _mm256_add_epi64(idx, vc0));
+      s = _mm256_add_epi64(s, vgolden);  // splitmix64's own increment.
+      const __m256i m = _mm256_srli_epi64(splitmix_mix(s), 11);
+      const auto bits = static_cast<unsigned>(_mm256_movemask_pd(
+          _mm256_castsi256_pd(_mm256_cmpgt_epi64(vbound, m))));
+      word |= static_cast<std::uint64_t>(bits) << (4 * k);
+      idx = _mm256_add_epi64(idx, four);
+    }
+    mask.set_word(wi, word);
   }
-  for (; i < n; ++i) {
-    const std::uint64_t h = hash_combine(prefix, i);
-    out[i] = static_cast<float>(
-        (static_cast<double>(h >> 11) + 0.5) * 0x1.0p-53);
+  if (c < n) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; c < n; ++b, ++c)
+      word |= static_cast<std::uint64_t>((hash_combine(prefix, c) >> 11) <
+                                         bound)
+              << b;
+    mask.set_word(wi, word);
   }
 }
 
@@ -488,7 +471,6 @@ namespace simra::dram::kernels::avx2 {
 
 bool compiled() noexcept { return false; }
 
-void threshold_mask(std::span<const float>, float, BitVec&) { std::abort(); }
 std::uint64_t compare_lt_word(const double*, std::size_t, double) {
   std::abort();
 }
@@ -507,7 +489,9 @@ std::size_t lag8_full_words(const std::uint64_t*, std::size_t) {
   std::abort();
 }
 void hashed_normal_fill(std::uint64_t, std::span<float>) { std::abort(); }
-void hashed_uniform_fill(std::uint64_t, std::span<float>) { std::abort(); }
+void hashed_threshold_mask(std::uint64_t, std::uint64_t, BitVec&) {
+  std::abort();
+}
 void counter_normal_fill(std::uint64_t, std::uint64_t, std::span<double>) {
   std::abort();
 }

@@ -25,9 +25,6 @@ namespace simra::dram::kernels::avx2 {
 /// become unreachable aborts and this returns false).
 bool compiled() noexcept;
 
-/// Fills `mask` (already sized to zetas.size()) with zetas[c] < z_eff.
-void threshold_mask(std::span<const float> zetas, float z_eff, BitVec& mask);
-
 /// Packs values[b] < threshold for b in [0, limit) into one word
 /// (limit <= 64). Used by latch_race_mask on a stack chunk of
 /// scalar-computed normal CDF values: the transcendental stays scalar so
@@ -71,9 +68,12 @@ std::size_t lag8_full_words(const std::uint64_t* words, std::size_t count);
 /// lanes and the remainder fall back to the exact scalar routine).
 void hashed_normal_fill(std::uint64_t prefix, std::span<float> out);
 
-/// Vectorized body of kernels::hashed_uniform_fill (the splitmix64 and
-/// uniform-mapping stages of hashed_normal_fill, no inverse CDF).
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out);
+/// Vectorized body of kernels::hashed_threshold_mask: fills `mask`
+/// (already sized) with (hash_combine(prefix, c) >> 11) < bound, the
+/// splitmix64 chain of hashed_normal_fill closed by a 64-bit integer
+/// compare (bound <= 2^53).
+void hashed_threshold_mask(std::uint64_t prefix, std::uint64_t bound,
+                           BitVec& mask);
 
 /// Vectorized body of kernels::counter_normal_fill: the hashed_normal_fill
 /// machinery with a base draw offset and double-precision output (tail

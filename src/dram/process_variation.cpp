@@ -44,12 +44,12 @@ void VariationField::normal_fill(std::uint64_t k0, std::uint64_t k1,
   kernels::hashed_normal_fill(prefix, out);
 }
 
-void VariationField::uniform_fill(std::uint64_t k0, std::uint64_t k1,
-                                  std::uint64_t k2,
-                                  std::span<float> out) const {
+BitVec VariationField::threshold_mask(std::uint64_t k0, std::uint64_t k1,
+                                      std::uint64_t k2, std::size_t count,
+                                      float u_eff) const {
   const std::uint64_t prefix =
       hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2);
-  kernels::hashed_uniform_fill(prefix, out);
+  return kernels::hashed_threshold_mask(prefix, count, u_eff);
 }
 
 double VariationField::uniform(std::uint64_t k0, std::uint64_t k1,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <span>
 
+#include "common/bitvec.hpp"
 #include "common/normal.hpp"
 
 namespace simra::dram {
@@ -35,13 +36,14 @@ class VariationField {
   void normal_fill(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2,
                    std::span<float> out) const;
 
-  /// Batched 4-key uniforms sharing a (k0, k1, k2) prefix:
-  /// out[i] = float(u) where normal(k0, k1, k2, i) = inverse_normal_cdf(u).
-  /// Threshold compares against the normal deviate are monotone-equivalent
-  /// in this domain (zeta < z <=> u < normal_cdf(z)), and skipping the
-  /// inverse CDF makes the fill an order of magnitude cheaper.
-  void uniform_fill(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2,
-                    std::span<float> out) const;
+  /// Batched 4-key threshold compare sharing a (k0, k1, k2) prefix:
+  /// bit i = (float(u) < u_eff) for i < count, where normal(k0, k1, k2, i)
+  /// = inverse_normal_cdf(u). Compares against the normal deviate are
+  /// monotone-equivalent in this domain (zeta < z <=> u < normal_cdf(z)),
+  /// so no inverse CDF runs and no deviate is stored
+  /// (kernels::hashed_threshold_mask).
+  BitVec threshold_mask(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2,
+                        std::size_t count, float u_eff) const;
 
   /// Uniform deviate in [0, 1) for the same keying scheme.
   double uniform(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2) const;

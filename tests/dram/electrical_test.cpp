@@ -401,32 +401,46 @@ TEST_F(ElectricalTest, GroupKeyOrderIndependentOfContent) {
 }
 
 TEST_F(ElectricalTest, DeviateCacheSurvivesEviction) {
-  // The deviate spans are pure functions of the variation field: whatever
-  // the caches do — hits, LRU eviction, regeneration — every query must
-  // reproduce the same persistent mask. Each row is one span and one mask,
-  // so 9000 rows run past both the span cache (8192 entries) and the mask
-  // memo (4096 entries); row 0's mask and span are both recomputed. Narrow
-  // columns keep that churn cheap.
+  // Deviate spans and masks are pure functions of the variation field:
+  // whatever the caches do — hits, LRU eviction, regeneration — every
+  // query must reproduce the same persistent mask. Each of 9000 points is
+  // one write-overdrive mask (hashed straight to bits, no span) and one
+  // latch-race mask over its own race-deviate span (one subarray per
+  // point), so the points run past both the mask memo (4096 entries) and
+  // the span cache (8192 entries); point 0's masks and span are all
+  // recomputed. Narrow columns keep that churn cheap.
   BitlineContext c = ctx();
   c.columns = 64;
   const EnvironmentState env;
   const ApaDecision apa = model_.classify_apa(Nanoseconds{3.0},
                                               Nanoseconds{3.0});
-  const BitVec first = model_.write_overdrive_mask(c, 0, 1, env, apa);
-  EXPECT_EQ(model_.write_overdrive_mask(c, 0, 1, env, apa), first);
-  for (RowAddr row = 1; row < 9000; ++row)
-    model_.write_overdrive_mask(c, row, 1, env, apa);
-  EXPECT_EQ(model_.write_overdrive_mask(c, 0, 1, env, apa), first);
+  const ApaDecision partial = model_.classify_apa(Nanoseconds{5.0},
+                                                  Nanoseconds{3.0});
+  ASSERT_GT(partial.latch_fraction, 0.0);
+  ASSERT_LT(partial.latch_fraction, 1.0);
+  const auto point_masks = [&](std::size_t i) {
+    BitlineContext latch_ctx = c;
+    latch_ctx.subarray = static_cast<SubarrayId>(i);
+    return std::make_pair(
+        model_.write_overdrive_mask(c, static_cast<RowAddr>(i), 1, env, apa),
+        model_.latched_mask(latch_ctx, partial));
+  };
+  const auto first = point_masks(0);
+  EXPECT_EQ(point_masks(0), first);
+  for (std::size_t i = 1; i < 9000; ++i) point_masks(i);
+  EXPECT_EQ(point_masks(0), first);
 }
 
 TEST_F(ElectricalTest, SiblingModelsShareDeviateCacheAcrossEviction) {
   // Sibling models on several threads share one DeviateCache, as the slot
-  // models of one chip do. 4500 points of two spans each exceed its 8192
-  // entries, so every thread's churn evicts spans that other threads still
-  // hold: each thread keeps one span handle across its whole run, and the
-  // span must keep its values after the cache drops it. Every mask must
-  // equal the one a model with a private cache computes.
-  constexpr std::size_t kPoints = 4500;
+  // models of one chip do. Each point pulls one span, its latch-race
+  // deviates (the write-overdrive mask hashes straight to bits), so 9000
+  // points exceed the cache's 8192 entries and every thread's churn evicts
+  // spans that other threads still hold: each thread keeps one span handle
+  // across its whole run, and the span must keep its values after the
+  // cache drops it. Every mask must equal the one a model with a private
+  // cache computes.
+  constexpr std::size_t kPoints = 9000;
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kHeldSalt = 0x7e57;
   BitlineContext c = ctx();
@@ -457,7 +471,7 @@ TEST_F(ElectricalTest, SiblingModelsShareDeviateCacheAcrossEviction) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const auto held =
-          shared.get_or_compute(kHeldSalt, t, 0, c.columns, false, variation_);
+          shared.get_or_compute(kHeldSalt, t, 0, c.columns, variation_);
       ElectricalModel sibling(&profile_, &variation_);
       sibling.share_deviates(&shared);
       for (std::size_t n = 0; n < kPoints; ++n) {

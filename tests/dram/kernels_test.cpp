@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/normal.hpp"
 #include "common/rng.hpp"
 #include "dram/electrical.hpp"
 #include "dram/process_variation.hpp"
@@ -31,16 +32,109 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+class ScopedSimd {
+ public:
+  explicit ScopedSimd(kernels::SimdTier tier) {
+    kernels::set_simd_for_test(tier);
+  }
+  ~ScopedSimd() { kernels::set_simd_for_test(std::nullopt); }
+};
+
+/// The tiers this host runs: scalar, plus AVX2 where supported.
+std::vector<kernels::SimdTier> host_tiers() {
+  std::vector<kernels::SimdTier> tiers{kernels::SimdTier::scalar};
+  if (kernels::avx2_supported()) tiers.push_back(kernels::SimdTier::avx2);
+  return tiers;
+}
+
+/// Column c's float uniform under `prefix`: the per-column value
+/// hashed_threshold_mask compares, spelled out.
+float realised_uniform(std::uint64_t prefix, std::size_t c) {
+  return static_cast<float>(uniform_from_hash(hash_combine(prefix, c)));
+}
+
+/// Ordinary thresholds plus the three that straddle column n / 2's
+/// realised uniform: one ulp below, equal, and one ulp above, where the
+/// kernel's integer bound must split exactly as the float compare does.
+std::vector<float> straddling_thresholds(std::uint64_t prefix, std::size_t n) {
+  std::vector<float> out{0.1f, 0.3f, 0.93f};
+  if (n == 0) return out;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float u = realised_uniform(prefix, n / 2);
+  out.insert(out.end(),
+             {std::nextafter(u, -kInf), u, std::nextafter(u, kInf)});
+  return out;
+}
+
+constexpr std::uint64_t kPrefixes[] = {0, 0x5eed'5eed'5eed'5eedULL,
+                                       0x243f'6a88'85a3'08d3ULL};
+
 TEST(KernelsTest, ThresholdMaskMatchesScalar) {
-  for (std::size_t n : kSizes) {
-    const auto zetas = random_floats(n, n + 1);
-    for (float z_eff : {-0.8f, 0.0f, 0.9f}) {
-      const BitVec mask = kernels::threshold_mask(zetas, z_eff);
-      ASSERT_EQ(mask.size(), n);
-      for (std::size_t c = 0; c < n; ++c)
-        ASSERT_EQ(mask.get(c), zetas[c] < z_eff) << "n=" << n << " c=" << c;
+  // hashed_threshold_mask against the per-column formula, at every tier.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (kernels::SimdTier tier : host_tiers()) {
+    ScopedSimd scoped(tier);
+    for (std::size_t n : kSizes) {
+      for (std::uint64_t prefix : kPrefixes) {
+        std::vector<float> thresholds = straddling_thresholds(prefix, n);
+        thresholds.push_back(1.0f);  // not saturated; see uniform_bound.
+        for (float u_eff : thresholds) {
+          const BitVec mask = kernels::hashed_threshold_mask(prefix, n, u_eff);
+          ASSERT_EQ(mask.size(), n);
+          for (std::size_t c = 0; c < n; ++c)
+            ASSERT_EQ(mask.get(c), realised_uniform(prefix, c) < u_eff)
+                << kernels::simd_name(tier) << " n=" << n << " c=" << c
+                << " u_eff=" << u_eff;
+        }
+        // Saturated thresholds: every float uniform lies in (0, 1], and
+        // NaN compares false.
+        for (float u_eff : {-kInf, -1.0f, -0.0f, 0.0f, kNaN})
+          EXPECT_EQ(kernels::hashed_threshold_mask(prefix, n, u_eff).popcount(),
+                    0u)
+              << kernels::simd_name(tier) << " n=" << n << " u_eff=" << u_eff;
+        for (float u_eff : {std::nextafter(1.0f, kInf), 1.5f, kInf})
+          EXPECT_EQ(kernels::hashed_threshold_mask(prefix, n, u_eff).popcount(),
+                    n)
+              << kernels::simd_name(tier) << " n=" << n << " u_eff=" << u_eff;
+      }
     }
   }
+}
+
+TEST(KernelsTest, UniformBoundSplitsTheFloatCompare) {
+  // The integer bound is exact: the float compare holds at bound - 1 and
+  // fails at bound, also for thresholds one ulp either side of a realised
+  // uniform and at the saturated ends.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const auto below = [](std::uint64_t m, float u_eff) {
+    return static_cast<float>(uniform_from_hash(m << 11)) < u_eff;
+  };
+  std::vector<float> thresholds{std::nextafter(0x1.0p-54f, kInf), 1e-9f, 0.5f,
+                                std::nextafter(1.0f, 0.0f)};
+  for (std::uint64_t prefix : kPrefixes) {
+    const auto more = straddling_thresholds(prefix, 8192);
+    thresholds.insert(thresholds.end(), more.begin(), more.end());
+  }
+  for (float u_eff : thresholds) {
+    const std::uint64_t bound = kernels::uniform_bound(u_eff);
+    ASSERT_GT(bound, 0u) << "u_eff=" << u_eff;
+    ASSERT_LT(bound, kTop) << "u_eff=" << u_eff;
+    EXPECT_TRUE(below(bound - 1, u_eff)) << "u_eff=" << u_eff;
+    EXPECT_FALSE(below(bound, u_eff)) << "u_eff=" << u_eff;
+  }
+  // The smallest uniform is 2^-54, so nothing compares below it.
+  for (float u_eff : {-kInf, 0.0f, std::numeric_limits<float>::denorm_min(),
+                      0x1.0p-54f, std::numeric_limits<float>::quiet_NaN()})
+    EXPECT_EQ(kernels::uniform_bound(u_eff), 0u) << "u_eff=" << u_eff;
+  for (float u_eff : {std::nextafter(1.0f, kInf), kInf})
+    EXPECT_EQ(kernels::uniform_bound(u_eff), kTop) << "u_eff=" << u_eff;
+  // float(u) rounds to 1.0f for about the top 2^28 of the 2^53 hashes,
+  // so 1.0f is not saturated: those few columns compare false.
+  const std::uint64_t one = kernels::uniform_bound(1.0f);
+  EXPECT_TRUE(below(one - 1, 1.0f));
+  EXPECT_FALSE(below(one, 1.0f));
 }
 
 TEST(KernelsTest, LatchRaceMaskMatchesScalar) {
@@ -456,14 +550,6 @@ TEST(KernelsTest, VariationNormalFillMatchesScalar) {
 // the host lacks AVX2 — set_simd_for_test ignores a forced tier the
 // machine can't run.
 
-class ScopedSimd {
- public:
-  explicit ScopedSimd(kernels::SimdTier tier) {
-    kernels::set_simd_for_test(tier);
-  }
-  ~ScopedSimd() { kernels::set_simd_for_test(std::nullopt); }
-};
-
 class SimdTierEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -491,13 +577,14 @@ TEST_F(SimdTierEquivalence, MaskKernelsBitIdentical) {
     BitVec t_scalar, l_scalar, o_scalar;
     {
       ScopedSimd scoped(kernels::SimdTier::scalar);
-      t_scalar = kernels::threshold_mask(zetas, 0.3f);
+      t_scalar = kernels::hashed_threshold_mask(n + 21, n, 0.3f);
       l_scalar = kernels::latch_race_mask(zetas, 0.47);
       o_scalar = kernels::offset_noise_mask(zetas, noise, 0.35);
     }
     ScopedSimd scoped(kernels::SimdTier::avx2);
-    EXPECT_EQ(kernels::threshold_mask(zetas, 0.3f).words(), t_scalar.words())
-        << "threshold_mask n=" << n;
+    EXPECT_EQ(kernels::hashed_threshold_mask(n + 21, n, 0.3f).words(),
+              t_scalar.words())
+        << "hashed_threshold_mask n=" << n;
     EXPECT_EQ(kernels::latch_race_mask(zetas, 0.47).words(), l_scalar.words())
         << "latch_race_mask n=" << n;
     EXPECT_EQ(kernels::offset_noise_mask(zetas, noise, 0.35).words(),
@@ -566,24 +653,26 @@ TEST_F(SimdTierEquivalence, HashedNormalFillBitIdentical) {
   }
 }
 
-TEST_F(SimdTierEquivalence, HashedUniformFillBitIdentical) {
-  // The uniform fill skips the inverse CDF, so the only rounding step is
-  // double -> float; the AVX2 cvtpd2ps conversion must match the scalar
-  // static_cast on every lane.
+TEST_F(SimdTierEquivalence, HashedThresholdMaskBitIdentical) {
+  // The AVX2 body replaces the float compare by a signed 64-bit compare
+  // against the integer bound; it must agree with the scalar body on
+  // every lane, the straddling and saturated thresholds included.
   for (std::size_t n : kSizes) {
-    for (std::uint64_t prefix :
-         {std::uint64_t{0}, std::uint64_t{0x5eed'5eed'5eed'5eedULL},
-          hash_combine(99, 3)}) {
-      std::vector<float> scalar(n);
-      {
-        ScopedSimd scoped(kernels::SimdTier::scalar);
-        kernels::hashed_uniform_fill(prefix, scalar);
+    for (std::uint64_t prefix : kPrefixes) {
+      std::vector<float> thresholds = straddling_thresholds(prefix, n);
+      thresholds.insert(thresholds.end(),
+                        {0.0f, 1.0f, std::numeric_limits<float>::quiet_NaN()});
+      for (float u_eff : thresholds) {
+        BitVec scalar;
+        {
+          ScopedSimd scoped(kernels::SimdTier::scalar);
+          scalar = kernels::hashed_threshold_mask(prefix, n, u_eff);
+        }
+        ScopedSimd scoped(kernels::SimdTier::avx2);
+        EXPECT_EQ(kernels::hashed_threshold_mask(prefix, n, u_eff).words(),
+                  scalar.words())
+            << "n=" << n << " u_eff=" << u_eff;
       }
-      ScopedSimd scoped(kernels::SimdTier::avx2);
-      std::vector<float> avx2(n);
-      kernels::hashed_uniform_fill(prefix, avx2);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(avx2[i], scalar[i]) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -658,26 +747,29 @@ TEST_F(SimdTierEquivalence, ResolveWordBitIdentical) {
   }
 }
 
-TEST_F(SimdTierEquivalence, HashedUniformFillMatchesNormalDomain) {
-  // Monotone equivalence contract used by the threshold-mask paths:
-  // the mask bit computed in the uniform domain (u < Phi(z)) must equal
-  // the bit computed in the normal domain (zeta < z) for every column.
+TEST_F(SimdTierEquivalence, HashedThresholdMaskMatchesNormalDomain) {
+  // Monotone equivalence contract of the threshold-mask paths: the mask
+  // bit computed in the uniform domain (u < Phi(z)) must equal the bit
+  // computed in the normal domain (zeta < z) for every column, at both
+  // tiers.
   constexpr std::size_t n = 8192;
   const std::uint64_t prefix = hash_combine(0xabcdef, 17);
-  std::vector<float> us(n), zetas(n);
-  kernels::hashed_uniform_fill(prefix, us);
+  std::vector<float> zetas(n);
   kernels::hashed_normal_fill(prefix, zetas);
-  for (const double z : {-2.5, -0.7, 0.0, 0.4, 1.9, 3.2}) {
-    const auto u_eff = static_cast<float>(normal_cdf(z));
-    const auto z_eff = static_cast<float>(z);
-    const BitVec from_uniform = kernels::threshold_mask(us, u_eff);
-    const BitVec from_normal = kernels::threshold_mask(zetas, z_eff);
-    std::size_t disagree = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      disagree += from_uniform.get(i) != from_normal.get(i);
-    // float rounding on both sides can flip a column sitting exactly on
-    // the threshold; allow a vanishing number of boundary columns.
-    EXPECT_LE(disagree, 2u) << "z=" << z;
+  for (kernels::SimdTier tier : host_tiers()) {
+    ScopedSimd scoped(tier);
+    for (const double z : {-2.5, -0.7, 0.0, 0.4, 1.9, 3.2}) {
+      const auto u_eff = static_cast<float>(normal_cdf(z));
+      const auto z_eff = static_cast<float>(z);
+      const BitVec from_uniform =
+          kernels::hashed_threshold_mask(prefix, n, u_eff);
+      std::size_t disagree = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        disagree += from_uniform.get(i) != (zetas[i] < z_eff);
+      // float rounding on both sides can flip a column sitting exactly on
+      // the threshold; allow a vanishing number of boundary columns.
+      EXPECT_LE(disagree, 2u) << kernels::simd_name(tier) << " z=" << z;
+    }
   }
 }
 
